@@ -48,11 +48,9 @@ from .engine import (
     NormalizedInstance,
     PowerOfOmegaInput,
     RelationVerdict,
-    UnrepresentableInput,
     analyze,
     case6_decompose,
-    classify_case,
-    classify_case_with_trail,
+    classify,
     minimal_omega_power_bound,
     normalize,
     p_top,

@@ -16,7 +16,7 @@ Instances are entries of the form TARGET[:COUNT] where TARGET is an
 ordinal expression ("w^2*4+1", "w_1") and COUNT a cardinal ("3",
 "aleph_0"); a missing count means 1.  Exit status: 0 success (for
 `verify`, a verified witness), 1 a clean negative answer, 2 bad usage
-or unparseable input, 3 input outside the representable fragment.
+or unparseable input.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .engine import (
     Infinite,
     Instance,
     NormalizedInstance,
-    UnrepresentableInput,
     analyze,
     normalize,
 )
@@ -66,7 +65,6 @@ from .witness import (
     build_counterexample,
     verify_certificates,
 )
-from .selftest import run_all
 
 Envelope = dict
 Handler = Tuple[Envelope, List[str], int]
@@ -304,6 +302,8 @@ def _cmd_verify(ns) -> Handler:
 
 
 def _cmd_selftest(ns) -> Handler:
+    # imported here so that no other subcommand pays for loading the grids
+    from .selftest import run_all
     results = run_all()
     ok = all(r.ok for r in results)
     env = _envelope("selftest", [], {
@@ -394,9 +394,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         envelope, lines, code = ns.handler(ns)
-    except UnrepresentableInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

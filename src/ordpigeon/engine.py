@@ -36,16 +36,11 @@ from .ordinal import (
     mul,
     natural_sum,
     omega_pow,
-    ord_of_card,
 )
 
 
 class EmptyInstance(ValueError):
     """Raised when an instance has no targets at all."""
-
-
-class UnrepresentableInput(ValueError):
-    """Raised when a value leaves the representable notation class."""
 
 
 class PowerOfOmegaInput(ValueError):
@@ -191,117 +186,142 @@ def normalize(inst: Instance) -> Union[NormalizedInstance, PigeonholeResult]:
     return NormalizedInstance(entries, cardinal_sum(c for _, c in entries))
 
 
-def _count_at_least(norm: NormalizedInstance, threshold: Ordinal) -> Cardinal:
-    counts = [c for t, c in norm.entries if t >= threshold]
-    if not counts:
-        return Cardinal.finite(0)
-    return cardinal_sum(counts)
+# a target's case6_decompose split: (g, m, exact)
+Split = Tuple[Ordinal, int, bool]
 
 
-_OMEGA1_SUCC = add(OMEGA1, ONE)
+# the C6 leaves' facts: the targets repeated by multiplicity, their
+# case6_decompose splits and the distinguished index (the last two only
+# in the C6c leaves)
+Case6Facts = Tuple[Tuple[Ordinal, ...], Optional[Tuple[Split, ...]],
+                   Optional[int]]
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """One pass through the case tree and the value it resolves to.
+
+    In the C6 leaves flat lists the targets repeated by multiplicity,
+    decompositions holds their case6_decompose splits (C6c only) and
+    distinguished the index of the exact multiple that dominates in C6cI.
+    The resolver and the witness builder read these facts here instead of
+    deriving them again; outside C6 they are None.  normalized is None
+    for the degenerate leaves Zero and AllOnes.
+    """
+
+    case: CasePath
+    trail: Tuple[str, ...]
+    result: PigeonholeResult
+    normalized: Optional[NormalizedInstance]
+    flat: Optional[Tuple[Ordinal, ...]] = None
+    decompositions: Optional[Tuple[Split, ...]] = None
+    distinguished: Optional[int] = None
+
+
+def _copies(norm: NormalizedInstance, floor: Ordinal) -> int:
+    # targets at least floor, counted with multiplicity; an infinite
+    # multiplicity counts as 2, the most any test of the case tree asks
+    return sum(c.size if c.is_finite() else 2
+               for t, c in norm.entries if t >= floor)
+
+
 _OMEGA_SUCC = add(OMEGA, ONE)
 
 
-def classify_case(norm: NormalizedInstance) -> CasePath:
-    return _classify(norm)[0]
-
-
-def classify_case_with_trail(norm: NormalizedInstance) -> Tuple[CasePath, List[str]]:
-    case, trail, _ = _classify(norm)
-    return case, trail
-
-
-# the C6c targets' case6_decompose splits and distinguished index, kept
-# from classification so that resolving does not decompose them again
-_Multiples = Tuple[List[Tuple[Ordinal, int, bool]], Optional[int]]
-
-
-def _classify(norm: NormalizedInstance
-              ) -> Tuple[CasePath, List[str], Optional[_Multiples]]:
+def classify(norm: NormalizedInstance) -> Analysis:
+    """Walk the case tree once and resolve the leaf it reaches."""
     trail: List[str] = []
-    over_w1 = _count_at_least(norm, _OMEGA1_SUCC)
-    kappa = norm.kappa
+    case, c6 = _case_tree(norm, trail)
+    flat, decs, s = c6 or (None, None, None)
+    return Analysis(case, tuple(trail), _resolve(norm, case, flat, decs, s),
+                    norm, flat, decs, s)
 
-    if over_w1 >= Cardinal.finite(1):
+
+def _case_tree(norm: NormalizedInstance, trail: List[str]
+               ) -> Tuple[CasePath, Optional[Case6Facts]]:
+    kappa = norm.kappa
+    big = next((t for t, _ in norm.entries if t > OMEGA1), None)
+
+    if big is not None:
         trail.append("some target exceeds w_1")
-        if _count_at_least(norm, _OMEGA_SUCC) >= Cardinal.finite(2):
+        if _copies(norm, _OMEGA_SUCC) >= 2:
             trail.append("a second target is at least w+1")
-            return CasePath.C1, trail, None
+            return CasePath.C1, None
         trail.append("every other target is at most w")
-        big = next(t for t, _ in norm.entries if t > OMEGA1)
         if not kappa.is_finite():
             trail.append("infinitely many colours")
             if not is_power_of_omega(big):
                 trail.append("the large target is not a power of w")
-                return CasePath.C2aI, trail, None
+                return CasePath.C2aI, None
             trail.append("the large target is a power of w")
             cf = cofinality(big)
             if cf > kappa.as_ordinal():
                 trail.append("its cofinality exceeds the number of colours")
-                return CasePath.C2aIIA, trail, None
+                return CasePath.C2aIIA, None
             if cf > OMEGA:
                 trail.append("its cofinality is uncountable but not above "
                              "the number of colours")
-                return CasePath.C2aIIB, trail, None
+                return CasePath.C2aIIB, None
             trail.append("its cofinality is countable")
             delta = cb_rank(exponent_ordinal(big.leading_exponent()))
-            succ = ord_of_card(kappa.successor())
+            succ = kappa.successor().as_ordinal()
             assert delta != succ, "tail exponent cannot be the successor " \
                 "cardinal: that would force uncountable cofinality"
             if delta < succ:
                 trail.append("the exponent's tail rank is below the "
                              "successor of the number of colours")
-                return CasePath.C2aIIC_lt, trail, None
+                return CasePath.C2aIIC_lt, None
             trail.append("the exponent's tail rank is above the successor "
                          "of the number of colours")
-            return CasePath.C2aIIC_gt, trail, None
+            return CasePath.C2aIIC_gt, None
         trail.append("finitely many colours")
         if any(t == OMEGA for t, _ in norm.entries):
             trail.append("some other target equals w")
             if is_power_of_omega(big):
                 trail.append("the large target is a power of w")
-                return CasePath.C2bI, trail, None
+                return CasePath.C2bI, None
             trail.append("the large target is not a power of w")
-            return CasePath.C2bII, trail, None
+            return CasePath.C2bII, None
         trail.append("every other target is finite")
         if is_power_of_omega(big) or kappa == Cardinal.finite(1):
             trail.append("the large target is a power of w, or it is the "
                          "only target")
-            return CasePath.C2cI, trail, None
+            return CasePath.C2cI, None
         trail.append("the large target is not a power of w and there are "
                      "other targets")
-        return CasePath.C2cII, trail, None
+        return CasePath.C2cII, None
 
     trail.append("no target exceeds w_1")
-    at_w1 = _count_at_least(norm, OMEGA1)
-    if at_w1 >= Cardinal.finite(2):
+    at_w1 = _copies(norm, OMEGA1)
+    if at_w1 >= 2:
         trail.append("at least two copies of w_1 among the targets")
-        return CasePath.C3, trail, None
-    if at_w1 >= Cardinal.finite(1):
+        return CasePath.C3, None
+    if at_w1 == 1:
         trail.append("exactly one copy of w_1 among the targets")
-        return CasePath.C4, trail, None
+        return CasePath.C4, None
     trail.append("every target is countable")
     if not kappa.is_finite():
         trail.append("infinitely many colours")
-        return CasePath.C5, trail, None
+        return CasePath.C5, None
     trail.append("finitely many colours")
-    flat = norm.flat_targets()
+    flat = tuple(norm.flat_targets())
     if all(t.is_finite() for t in flat):
         trail.append("every target is finite")
-        return CasePath.C6a, trail, None
+        return CasePath.C6a, (flat, None, None)
     if any(is_power_of_omega(t) for t in flat):
         trail.append("some target is a power of w")
-        return CasePath.C6b, trail, None
+        return CasePath.C6b, (flat, None, None)
     trail.append("no target is a power of w and some target is infinite")
     # one split per entry, repeated by multiplicity as in flat
-    decs = [d for t, c in norm.entries for d in [case6_decompose(t)] * c.size]
+    decs = tuple(d for t, c in norm.entries
+                 for d in [case6_decompose(t)] * c.size)
     s = _distinguished_index(decs)
     if s is not None:
         trail.append("an exact multiple of a power of w has minimal rank "
                      "and all other multiplicities are 1")
-        return CasePath.C6cI, trail, (decs, s)
+        return CasePath.C6cI, (flat, decs, s)
     trail.append("no exact-multiple target dominates")
-    return CasePath.C6cII, trail, (decs, None)
+    return CasePath.C6cII, (flat, decs, None)
 
 
 def minimal_omega_power_bound(a: Ordinal) -> Ordinal:
@@ -317,7 +337,7 @@ def minimal_omega_power_bound(a: Ordinal) -> Ordinal:
     return add(g, ONE)
 
 
-def case6_decompose(a: Ordinal) -> Tuple[Ordinal, int, bool]:
+def case6_decompose(a: Ordinal) -> Split:
     """Split a countable target a >= 2, not a power of w, as (g, m, exact).
 
     g is the terminal rank of a and m counts the points of a with rank at
@@ -348,7 +368,7 @@ def _decompose_any(a: Ordinal) -> Tuple[Ordinal, int]:
     return g, m
 
 
-def _distinguished_index(decs: Sequence[Tuple[Ordinal, int, bool]]
+def _distinguished_index(decs: Sequence[Split]
                          ) -> Optional[int]:
     # decs are the targets' case6_decompose splits
     ranks = [cb_rank(g) for g, _, _ in decs]
@@ -362,16 +382,16 @@ def _distinguished_index(decs: Sequence[Tuple[Ordinal, int, bool]]
     return None
 
 
-def p_top_case6_power(norm: NormalizedInstance) -> Ordinal:
-    """Finitely many countable targets, at least one a power of w: the
-    value is w to the Milner-Rado sum of the least power bounds."""
-    flat = norm.flat_targets()
+def p_top_case6_power(flat: Sequence[Ordinal]) -> Ordinal:
+    """Finitely many countable targets, listed by multiplicity, at least
+    one a power of w: the value is w to the Milner-Rado sum of the least
+    power bounds."""
     if not any(is_power_of_omega(t) for t in flat):
         raise ValueError("some target must be a power of w")
     return omega_pow(mr_sum([minimal_omega_power_bound(t) for t in flat]))
 
 
-def p_top_case6_multiples(decs: Sequence[Tuple[Ordinal, int, bool]],
+def p_top_case6_multiples(decs: Sequence[Split],
                           s: Optional[int]) -> Ordinal:
     """Finitely many countable infinite targets, none a power of w, given
     their case6_decompose splits and the distinguished index, if any."""
@@ -382,47 +402,30 @@ def p_top_case6_multiples(decs: Sequence[Tuple[Ordinal, int, bool]],
     return add(mul(omega_pow(gamma), from_int(total)), ONE)
 
 
-@dataclass(frozen=True)
-class Analysis:
-    """Case dispatch plus the resulting pigeonhole number."""
-
-    case: CasePath
-    trail: Tuple[str, ...]
-    result: PigeonholeResult
-    normalized: Optional[NormalizedInstance]
-
-
 def analyze(inst: Instance) -> Analysis:
     norm = normalize(inst)
-    if isinstance(norm, Exists):
-        if norm.value.is_zero():
-            return Analysis(CasePath.ZERO, ("some target is 0",), norm, None)
-        return Analysis(CasePath.ALL_ONES, ("every target is 1",), norm, None)
-    case, trail, multiples = _classify(norm)
-    return Analysis(case, tuple(trail), _resolve(norm, case, multiples), norm)
+    if isinstance(norm, NormalizedInstance):
+        return classify(norm)
+    if norm.value.is_zero():
+        return Analysis(CasePath.ZERO, ("some target is 0",), norm, None)
+    return Analysis(CasePath.ALL_ONES, ("every target is 1",), norm, None)
 
 
 def p_top(inst: Instance) -> PigeonholeResult:
     """The topological pigeonhole number of the instance."""
-    norm = normalize(inst)
-    if not isinstance(norm, NormalizedInstance):
-        return norm
-    return p_top_normalized(norm)
-
-
-def p_top_normalized(norm: NormalizedInstance) -> PigeonholeResult:
-    case, _, multiples = _classify(norm)
-    return _resolve(norm, case, multiples)
+    return analyze(inst).result
 
 
 def _resolve(norm: NormalizedInstance, case: CasePath,
-             multiples: Optional[_Multiples]) -> PigeonholeResult:
+             flat: Optional[Tuple[Ordinal, ...]],
+             decs: Optional[Tuple[Split, ...]],
+             s: Optional[int]) -> PigeonholeResult:
     kappa = norm.kappa
     if case is CasePath.C1:
         return Infinite()
     if case.value.startswith("C2"):
         big = next(t for t, _ in norm.entries if t > OMEGA1)
-        succ = ord_of_card(kappa.successor())
+        succ = kappa.successor().as_ordinal()
         if case in (CasePath.C2aI, CasePath.C2aIIB, CasePath.C2aIIC_lt):
             return Exists(mul(big, succ))
         if case in (CasePath.C2aIIA, CasePath.C2aIIC_gt, CasePath.C2bI):
@@ -436,18 +439,17 @@ def _resolve(norm: NormalizedInstance, case: CasePath,
                      if t != big)
         return Exists(add(mul(omega_pow(g), from_int(others + m)), ONE))
     if case is CasePath.C3:
-        lower = max(OMEGA2, ord_of_card(kappa.successor()))
+        lower = max(OMEGA2, kappa.successor().as_ordinal())
         return Independent(zfc_lower=lower)
     if case is CasePath.C4:
-        return Exists(max(OMEGA1, ord_of_card(kappa.successor())))
+        return Exists(max(OMEGA1, kappa.successor().as_ordinal()))
     if case is CasePath.C5:
-        return Exists(ord_of_card(kappa.successor()))
-    flat = norm.flat_targets()
+        return Exists(kappa.successor().as_ordinal())
     if case is CasePath.C6a:
         return Exists(from_int(sum(int(t) - 1 for t in flat) + 1))
     if case is CasePath.C6b:
-        return Exists(p_top_case6_power(norm))
-    return Exists(p_top_case6_multiples(*multiples))
+        return Exists(p_top_case6_power(flat))
+    return Exists(p_top_case6_multiples(decs, s))
 
 
 def relation_holds(beta: Ordinal, inst: Instance) -> RelationVerdict:

@@ -512,9 +512,6 @@ class Cardinal:
         return "aleph_" + _format_atom_index(self.aleph_index)
 
 
-ALEPH0 = Cardinal.aleph(0)
-
-
 def _coerce_card(x) -> Cardinal:
     if isinstance(x, Cardinal):
         return x
@@ -533,14 +530,6 @@ def cardinal_sum(cards: Iterable[Cardinal]) -> Cardinal:
         elif best is None or c.aleph_index > best:
             best = c.aleph_index
     return Cardinal(best, 0) if best is not None else Cardinal(None, total)
-
-
-def card_successor(k: Cardinal) -> Cardinal:
-    return k.successor()
-
-
-def ord_of_card(k: Cardinal) -> Ordinal:
-    return k.as_ordinal()
 
 
 # -- formatting (ascii w-notation, reused by the parser module) --------------

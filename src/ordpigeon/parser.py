@@ -32,6 +32,12 @@ from .ordinal import (
 )
 
 
+# deepest nesting of "(" and "w_" that the parser follows: the recursive
+# descent and the kernel's recursion on exponents and atom indices stay
+# well inside Python's stack at this depth
+MAX_NESTING = 100
+
+
 class OrdinalSyntaxError(ValueError):
     """Malformed expression; position is a 0-based offset into the source."""
 
@@ -52,6 +58,7 @@ class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -110,15 +117,20 @@ def _base(sc: _Scanner) -> Ordinal:
 
 
 def _atom(sc: _Scanner) -> Ordinal:
+    if sc.depth == MAX_NESTING:
+        sc.fail(f"nesting deeper than {MAX_NESTING} levels")
+    sc.depth += 1
     if sc.eat("w_"):
-        return initial_ordinal(_atom(sc))
-    if sc.eat("w"):
-        return OMEGA
-    if sc.eat("("):
-        inner = _ordinal(sc)
+        value = initial_ordinal(_atom(sc))
+    elif sc.eat("w"):
+        value = OMEGA
+    elif sc.eat("("):
+        value = _ordinal(sc)
         sc.expect(")")
-        return inner
-    return from_int(sc.nat())
+    else:
+        value = from_int(sc.nat())
+    sc.depth -= 1
+    return value
 
 
 def parse_expression(text: str) -> OrdinalExpression:

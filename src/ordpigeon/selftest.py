@@ -319,10 +319,9 @@ def _witness_grid() -> List[Instance]:
 
 def _maximal_failing(value: Ordinal) -> Ordinal:
     # P = w^g*m + 1 fails last at w^g*m; P = w^g*(m+1) fails last at w^g*m + 1
-    ms = value.monomials
     if value.is_successor():
-        tail = ((ZERO, ms[-1][1] - 1),) if ms[-1][1] > 1 else ()
-        return Ordinal(ms[:-1] + tail)
+        return _predecessor(value)
+    ms = value.monomials
     return add(Ordinal(((ms[0][0], ms[0][1] - 1),)), 1)
 
 

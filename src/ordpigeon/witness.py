@@ -35,11 +35,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .engine import (
     CasePath,
     NormalizedInstance,
-    _distinguished_index,
-    case6_decompose,
-    classify_case,
+    classify,
     minimal_omega_power_bound,
-    p_top_normalized,
 )
 from .ordinal import (
     OMEGA,
@@ -315,20 +312,19 @@ def build_counterexample(beta, norm: NormalizedInstance):
     certificate per colour.  Supported for the countable finite-colour
     cases and for the two-target provably-no-value case."""
     beta = _coerce(beta)
-    case = classify_case(norm)
-    if case is CasePath.C1:
+    facts = classify(norm)
+    if facts.case is CasePath.C1:
         return _build_cofinality(beta, norm)
-    if case not in _RANK_CASES:
-        raise OutOfScope(f"no finite certificate language for case {case.value}")
-    threshold = p_top_normalized(norm).value
-    if beta >= threshold:
+    if facts.case not in _RANK_CASES:
+        raise OutOfScope(f"no finite certificate language for case "
+                         f"{facts.case.value}")
+    if beta >= facts.result.value:
         raise NotBelowThreshold(f"{beta} already satisfies the relation")
-    flat = norm.flat_targets()
     if beta.is_zero():
-        return _build_empty(beta, flat)
+        return _build_empty(beta, facts.flat)
     if beta.is_finite():
-        return _build_finite(beta, flat)
-    return _build_infinite(beta, flat, case)
+        return _build_finite(beta, facts.flat)
+    return _build_infinite(beta, facts)
 
 
 def _build_cofinality(beta, norm):
@@ -387,12 +383,13 @@ def _exception_certs(flat, levels, tops):
     return certs
 
 
-def _build_infinite(beta, flat, case):
+def _build_infinite(beta, facts):
+    flat = facts.flat
     k = len(flat)
     g, m, tail = leading_decomposition(beta)
     top_count = m if not tail.is_zero() else m - 1
 
-    if case is CasePath.C6b:
+    if facts.case is CasePath.C6b:
         power_bounds = [minimal_omega_power_bound(t) for t in flat]
         levels = natsum_expressible(g, power_bounds)
         assert levels is not None, "g below the Milner-Rado sum splits"
@@ -403,7 +400,7 @@ def _build_infinite(beta, flat, case):
                             tops, None)
         return col, _exception_certs(flat, levels, tops)
 
-    decs = [case6_decompose(t) for t in flat]
+    decs = facts.decompositions
     levels = natsum_expressible(g, [add(b, ONE) for b, _, _ in decs])
     assert levels is not None, "g at most the natural sum of ranks splits"
     caps = [None if lvl < b else mi - 1
@@ -429,9 +426,8 @@ def _build_infinite(beta, flat, case):
     # Too many maximal-rank points for the small certificates: this is the
     # distinguished exact-multiple situation, where the class holding all
     # of them is defeated by residual counting instead.
-    assert case is CasePath.C6cI and not tail.is_zero()
-    s = _distinguished_index(decs)
-    assert s is not None
+    assert facts.case is CasePath.C6cI and not tail.is_zero()
+    s = facts.distinguished
     parts = [b for b, _, _ in decs]
     classes = [list(ivs) for ivs in natsum_split(g, parts, final_part=s)]
 

@@ -1,10 +1,13 @@
 """End-to-end checks of the command line surface."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-import ordpigeon.cli as cli_mod
+import ordpigeon.selftest as selftest_mod
 from ordpigeon.cli import run
 from ordpigeon.selftest import CriterionResult
 
@@ -165,10 +168,39 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_huge_counts_outside_c6_answer_at_once(capsys):
+    # only the C6 leaves list the targets one by one
+    assert run(["ptop", "w_1+1", "2:10000000000"]) == 0
+    assert lines_of(capsys)[:2] == ["w_1*10000000001+1", "case C2cII"]
+    assert run(["case", "w_1:2", "3:10000000000"]) == 0
+    assert "case C3" in lines_of(capsys)
+    assert run(["witness", "w+5", "w_1+1", "2:10000000000"]) == 2
+    assert capsys.readouterr().err == \
+        "error: no finite certificate language for case C2cII\n"
+
+
+def test_overdeep_nesting_is_a_usage_error(capsys):
+    deep = "w^(" * 3000 + "1" + ")" * 3000
+    assert run(["ptop", deep]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
+def test_import_leaves_selftest_unloaded():
+    # a fresh interpreter: this one imported selftest at the top of the file
+    src = str(Path(selftest_mod.__file__).resolve().parents[1])
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
+             "import ordpigeon.cli; print('ordpigeon.selftest' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe, src],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
 def test_selftest_reporting(monkeypatch, capsys):
     fake = [CriterionResult(1, "alpha", True, "fine", 0.01, 1.0),
             CriterionResult(2, "beta", True, "fine", 0.02, 5.0)]
-    monkeypatch.setattr(cli_mod, "run_all", lambda: fake)
+    monkeypatch.setattr(selftest_mod, "run_all", lambda: fake)
     assert run(["selftest"]) == 0
     out = lines_of(capsys)
     assert out[0].startswith("[pass] 1. alpha")

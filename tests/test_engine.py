@@ -13,7 +13,6 @@ from ordpigeon.engine import (
     RelationVerdict,
     analyze,
     case6_decompose,
-    classify_case,
     minimal_omega_power_bound,
     normalize,
     p_top,
@@ -91,7 +90,7 @@ def test_case1_infinite():
 
 def test_case2a_not_power():
     inst = Instance.of((w1 + 1, 1), (2, A0))
-    assert classify_case(normalize(inst)) is CasePath.C2aI
+    assert case_of((w1 + 1, 1), (2, A0)) is CasePath.C2aI
     assert p_top(inst) == Exists(mul(w1 + 1, w1))
 
 
@@ -139,7 +138,7 @@ def test_case2c_power_with_finite_company():
 
 def test_case2c_general():
     inst = Instance.of((w1 + 1, 1), (2, 1))
-    assert classify_case(normalize(inst)) is CasePath.C2cII
+    assert case_of((w1 + 1, 1), (2, 1)) is CasePath.C2cII
     assert p_top(inst) == Exists(w1 * 2 + 1)
     assert value(w1 * 3, 2, 3) == w1 * 5 + 1
     assert value(w1 + 5, 4) == w1 * 4 + 1

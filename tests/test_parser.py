@@ -42,6 +42,10 @@ def test_basic_forms():
     assert parse_ordinal("w_(w+1)") == initial_ordinal(add(w, 1))
     assert parse_ordinal("w_w_1") == initial_ordinal(OMEGA1)
     assert parse_ordinal("w^(w^2+w)") == wp(add(wp(2), w))
+    tower = from_int(1)
+    for _ in range(100):
+        tower = wp(tower)
+    assert parse_ordinal("w^(" * 100 + "1" + ")" * 100) == tower
 
 
 def test_whitespace_is_free():
@@ -76,6 +80,16 @@ def test_syntax_errors_carry_position():
                 "w_", "x", "w **2"]:
         with pytest.raises(OrdinalSyntaxError):
             parse_ordinal(bad)
+
+
+def test_nesting_beyond_the_limit_is_a_syntax_error():
+    for text in ["w^(" * 101 + "1" + ")" * 101, "w_" * 101 + "1",
+                 "w^(" * 3000 + "1" + ")" * 3000]:
+        with pytest.raises(OrdinalSyntaxError) as info:
+            parse_ordinal(text)
+        assert "nesting deeper than 100 levels" in str(info.value)
+    with pytest.raises(OrdinalSyntaxError):
+        parse_cardinal("aleph_" + "w_" * 100 + "1")
 
 
 def test_cardinal_parsing():
