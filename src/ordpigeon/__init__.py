@@ -5,7 +5,8 @@ the initial ordinals in Cantor normal form, computes the classical and
 topological pigeonhole numbers of target lists, constructs counterexample
 colourings just below the threshold together with checkable obstruction
 certificates, and carries small brute-force oracles used to cross-check
-the closed formulas.
+the closed formulas.  The oracles live in ordpigeon.oracle, which this
+package does not import, so the CLI starts without them.
 """
 
 from .ordinal import (
@@ -69,15 +70,6 @@ from .witness import (
     eval_colouring,
     natsum_expressible,
     verify_certificates,
-)
-from .oracle import (
-    EnumerationBounds,
-    TooLarge,
-    bruteforce_mr_sum,
-    cross_check_p_top,
-    enumerate_ordinals_below,
-    finite_arrow_check,
-    mr_sum_bruteforce_check,
 )
 from .parser import (
     OrdinalExpression,

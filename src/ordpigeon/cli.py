@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional, Sequence, Tuple
 
@@ -397,11 +398,18 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if ns.json:
-        print(json.dumps(envelope, indent=2))
-    else:
-        for line in lines:
-            print(line)
+    try:
+        if ns.json:
+            print(json.dumps(envelope, indent=2))
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left: keep the exit code, let the exit flush hit devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

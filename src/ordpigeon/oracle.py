@@ -5,11 +5,15 @@ pigeonhole numbers come from exhaustive colouring search, Milner-Rado
 sums from an ascending scan for the least non-expressible ordinal, and
 the cross-check formulas are written out independently, so agreement is
 evidence rather than tautology.
+
+Enumerations are ascending by construction: exponents go in descending
+order and coefficients upward, so itertools.product yields ordinal order.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import product
@@ -93,25 +97,25 @@ class EnumerationBounds:
 
 
 def _terms_over(exponents: List[Ordinal], bounds: EnumerationBounds):
-    # exponents descending; one coefficient choice per exponent
-    for coeffs in product(range(bounds.max_coefficient + 1),
-                          repeat=len(exponents)):
-        if sum(1 for c in coeffs if c) > bounds.max_monomials:
-            continue
-        yield Ordinal(tuple((e, c) for e, c in zip(exponents, coeffs) if c))
+    # exponents descending, so product order is ascending ordinal order
+    coeffs = range(1, bounds.max_coefficient + 1)
+    choices = [(None,) + tuple((e, c) for c in coeffs) for e in exponents]
+    for picks in product(*choices):
+        monomials = tuple(filter(None, picks))
+        if len(monomials) <= bounds.max_monomials:
+            yield Ordinal(monomials)
 
 
 def enumerate_ordinals_below(bounds: EnumerationBounds) -> List[Ordinal]:
     """Every normal form within the bounds whose exponents are themselves
     within the bounds, ascending.  The exponent pool is the fixpoint of
-    enumerating and keeping what is at most max_exponent."""
+    enumerating and keeping the prefix of terms at most max_exponent."""
     pool: List[Ordinal] = []
     while True:
         terms = list(_terms_over(pool, bounds))
-        grown = sorted({t for t in terms if t <= bounds.max_exponent},
-                       reverse=True)
+        grown = terms[:bisect_right(terms, bounds.max_exponent)][::-1]
         if grown == pool:
-            return sorted(terms)
+            return terms
         pool = grown
 
 
@@ -132,11 +136,8 @@ def _candidate_lattice(bounds_list: Sequence[Ordinal]) -> List[Ordinal]:
     # the least non-expressible ordinal only needs the bounds' exponents,
     # with coefficients at most the column sums
     columns = _column_sums(bounds_list)
-    out = []
-    for coeffs in product(*(range(s + 1) for _, s in columns)):
-        out.append(Ordinal(tuple(
-            (e, c) for (e, _), c in zip(columns, coeffs) if c)))
-    return sorted(out)
+    return [Ordinal(tuple((e, c) for (e, _), c in zip(columns, coeffs) if c))
+            for coeffs in product(*(range(s + 1) for _, s in columns))]
 
 
 def bruteforce_mr_sum(bounds_list) -> Ordinal:

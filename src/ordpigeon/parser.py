@@ -37,12 +37,17 @@ from .ordinal import (
 # well inside Python's stack at this depth
 MAX_NESTING = 100
 
+# longest stretch of the source that a syntax error message quotes
+EXCERPT = 40
+
 
 class OrdinalSyntaxError(ValueError):
     """Malformed expression; position is a 0-based offset into the source."""
 
     def __init__(self, message: str, source: str, position: int):
-        super().__init__(f"{message} at column {position} in {source!r}")
+        lo = max(min(position - EXCERPT // 2, len(source) - EXCERPT), 0)
+        excerpt = source[lo:lo + EXCERPT]
+        super().__init__(f"{message} at column {position} in {excerpt!r}")
         self.source = source
         self.position = position
 

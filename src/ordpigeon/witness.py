@@ -184,24 +184,6 @@ def _compositions(total: int, k: int):
             yield (head,) + rest
 
 
-def _step(bmonos, ptr, state, e, p):
-    # advance one merged-exponent position of the part-vs-bound comparison;
-    # state 0 = equal so far, 1 = already strictly below
-    while ptr < len(bmonos) and exp_compare(bmonos[ptr][0], e) > 0:
-        state = 1
-        ptr += 1
-    b = 0
-    if ptr < len(bmonos) and exp_compare(bmonos[ptr][0], e) == 0:
-        b = bmonos[ptr][1]
-        ptr += 1
-    if state == 0:
-        if p > b:
-            return None
-        if p < b:
-            state = 1
-    return ptr, state
-
-
 def natsum_expressible(delta, bounds) -> Optional[List[Ordinal]]:
     """A list of parts with natural sum delta and part i strictly below
     bounds[i], or None.  Searches the coefficient splittings of delta's
@@ -214,29 +196,51 @@ def natsum_expressible(delta, bounds) -> Optional[List[Ordinal]]:
         raise ZeroInput("bounds must be non-zero")
     monos = delta.monomials
     k = len(bounds)
-    bmonos = [b.monomials for b in bounds]
-
-    def rec(j, ptrs, states):
-        if j == len(monos):
-            for i in range(k):
-                if states[i] == 0 and ptrs[i] >= len(bmonos[i]):
-                    return None
-            return []
-        e, c = monos[j]
-        for comp in _compositions(c, k):
-            nptrs, nstates = list(ptrs), list(states)
-            for i in range(k):
-                step = _step(bmonos[i], ptrs[i], states[i], e, comp[i])
-                if step is None:
+    # Merge each bound with delta's exponents once, so the search compares ints:
+    # bit i of skipped[j] says bound i has a monomial above e_j (last entry:
+    # anywhere) that delta lacks; coeffs[j][i] is bound i's coefficient at e_j.
+    skipped = [0] * (len(monos) + 1)
+    coeffs = [[0] * k for _ in monos]
+    for i, b in enumerate(bounds):
+        bm, ptr, gap = b.monomials, 0, 0
+        for j, (e, _) in enumerate(monos):
+            while ptr < len(bm):
+                order = exp_compare(bm[ptr][0], e)
+                if order < 0:
                     break
-                nptrs[i], nstates[i] = step
+                ptr += 1
+                if order == 0:
+                    coeffs[j][i] = bm[ptr - 1][1]
+                    break
+                gap = 1 << i
+            skipped[j] |= gap
+        skipped[-1] |= 1 << i if ptr < len(bm) else gap
+    every = (1 << k) - 1
+
+    def rec(j, below):
+        # bit i of below: part i is already strictly below bound i; once all
+        # are, the first part takes what is left, as the first splitting does
+        below |= skipped[j]
+        if below == every:
+            return [(c,) + (0,) * (k - 1) for _, c in monos[j:]]
+        if j == len(monos):
+            return None
+        caps = coeffs[j]
+        for comp in _compositions(monos[j][1], k):
+            nbelow = below
+            for i, p in enumerate(comp):
+                if not below >> i & 1:
+                    if p > caps[i]:
+                        break
+                    if p < caps[i]:
+                        nbelow |= 1 << i
             else:
-                rest = rec(j + 1, nptrs, nstates)
+                rest = rec(j + 1, nbelow)
                 if rest is not None:
                     return [comp] + rest
         return None
 
-    comps = rec(0, [0] * k, [0] * k)
+    comps = rec(0, 0)
     if comps is None:
         return None
     parts = []

@@ -1,6 +1,7 @@
 """End-to-end checks of the command line surface."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,10 @@ import pytest
 
 import ordpigeon.selftest as selftest_mod
 from ordpigeon.cli import run
+from ordpigeon.parser import EXCERPT
 from ordpigeon.selftest import CriterionResult
+
+SRC = str(Path(selftest_mod.__file__).resolve().parents[1])
 
 
 def lines_of(capsys):
@@ -185,16 +189,36 @@ def test_overdeep_nesting_is_a_usage_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert err.count("\n") == 1
+    assert len(err) < 2 * EXCERPT + 60
 
 
 def test_import_leaves_selftest_unloaded():
     # a fresh interpreter: this one imported selftest at the top of the file
-    src = str(Path(selftest_mod.__file__).resolve().parents[1])
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
-             "import ordpigeon.cli; print('ordpigeon.selftest' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", probe, src],
+             "import ordpigeon.cli; "
+             "print([m in sys.modules for m in sys.argv[2:]])")
+    out = subprocess.run([sys.executable, "-c", probe, SRC,
+                          "ordpigeon.selftest", "ordpigeon.oracle"],
                          capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[False, False]"
+
+
+def test_closed_stdout_keeps_the_exit_code():
+    argv = [sys.executable, "-m", "ordpigeon.cli",
+            "witness", "w^3*2", "w^2+1", "w^2+1", "--json"]
+    env = {**os.environ, "PYTHONPATH": SRC}
+    open_run = subprocess.run(argv, env=env, capture_output=True, timeout=60)
+    # a pipe whose reader is gone before the child writes: every write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        closed_run = subprocess.run(argv, env=env, stdout=write_end,
+                                    stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert open_run.stdout
+    assert closed_run.returncode == open_run.returncode
+    assert closed_run.stderr == b""
 
 
 def test_selftest_reporting(monkeypatch, capsys):

@@ -2,6 +2,7 @@
 least-counterexample Milner-Rado sums, and the closed-formula cross-check."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -91,9 +92,19 @@ def test_enumerate_twentyseven_terms():
     assert got[0] == ZERO and got[-1] == add(add(mul(wp(2), 2), mul(w, 2)), 2)
 
 
-def test_enumerate_sorted_and_distinct():
-    got = enumerate_ordinals_below(EnumerationBounds(wp(2), 2, 3))
+@pytest.mark.parametrize("top, coeff, monos", [
+    (wp(2), 2, 3), (w, 3, 2), (from_int(3), 4, 2), (add(w, 1), 3, 3),
+], ids=["w^2-c2-m3", "w-c3-m2", "3-c4-m2", "w+1-c3-m3"])
+def test_enumerate_sorted_and_distinct(top, coeff, monos):
+    got = enumerate_ordinals_below(EnumerationBounds(top, coeff, monos))
     assert all(a < b for a, b in zip(got, got[1:]))
+    # the exponent pool E is what lies at most the bound; each term picks
+    # j <= monos exponents from it and a coefficient 1..coeff for each, and
+    # every case has more exponents than monos, so the monomial bound binds
+    pool = [t for t in got if t <= top]
+    assert len(pool) > monos
+    assert len(got) == sum(math.comb(len(pool), j) * coeff ** j
+                           for j in range(monos + 1))
 
 
 def test_enumerate_closed_under_exponents():

@@ -17,6 +17,7 @@ from ordpigeon.ordinal import (
     omega_pow,
 )
 from ordpigeon.parser import (
+    EXCERPT,
     OrdinalSyntaxError,
     format_ordinal,
     parse_cardinal,
@@ -88,6 +89,10 @@ def test_nesting_beyond_the_limit_is_a_syntax_error():
         with pytest.raises(OrdinalSyntaxError) as info:
             parse_ordinal(text)
         assert "nesting deeper than 100 levels" in str(info.value)
+        # the message quotes an excerpt; the exception keeps the whole source
+        assert len(str(info.value)) < 2 * EXCERPT + 60
+        assert info.value.source == text
+        assert 0 < info.value.position < len(text)
     with pytest.raises(OrdinalSyntaxError):
         parse_cardinal("aleph_" + "w_" * 100 + "1")
 

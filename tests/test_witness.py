@@ -1,15 +1,18 @@
 """Colouring construction, evaluation, and certificate checking."""
 
 from dataclasses import replace
+from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ordpigeon.engine import Instance, NormalizedInstance, normalize, p_top, Exists
 from ordpigeon.ordinal import (
+    Atom,
     OMEGA,
     OMEGA1,
     ONE,
+    Ordinal,
     ZERO,
     ZeroInput,
     add,
@@ -82,6 +85,41 @@ def test_natsum_expressible_edges():
 def test_natsum_expressible_takes_the_largest_first_part():
     got = natsum_expressible(mul(w, 2), [mul(w, 3), add(w, 1)])
     assert got == [mul(w, 2), ZERO]
+
+
+# descending exponents with an atom on top, so splittings meet exponents
+# the bounds lack above, between and below delta's
+EXPONENTS = [Atom(ONE), add(w, 1), w, from_int(2), ONE, ZERO]
+
+
+@st.composite
+def forms(draw):
+    picks = draw(st.lists(st.integers(0, len(EXPONENTS) - 1),
+                          unique=True, max_size=3))
+    return Ordinal(tuple((EXPONENTS[i], draw(st.integers(1, 3)))
+                         for i in sorted(picks)))
+
+
+def first_splitting(delta, bounds):
+    """Reference: every splitting of delta's coefficients, largest first
+    part first, checked against the bounds with the kernel's order."""
+    k = len(bounds)
+    per_position = [[comp for comp in product(range(c, -1, -1), repeat=k)
+                     if sum(comp) == c] for _, c in delta.monomials]
+    for choice in product(*per_position):
+        parts = [Ordinal(tuple((e, comp[i]) for (e, _), comp
+                               in zip(delta.monomials, choice) if comp[i]))
+                 for i in range(k)]
+        if all(p < b for p, b in zip(parts, bounds)):
+            return parts
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(forms(), st.lists(forms().filter(lambda b: not b.is_zero()),
+                         min_size=1, max_size=3))
+def test_natsum_expressible_is_the_first_splitting(delta, bounds):
+    assert natsum_expressible(delta, bounds) == first_splitting(delta, bounds)
 
 
 def test_natsum_split_pinned():
