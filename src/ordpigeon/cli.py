@@ -25,7 +25,7 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .engine import (
     Analysis,
@@ -58,14 +58,9 @@ from .parser import (
     parse_expression,
     parse_ordinal,
 )
-from .witness import (
-    CertKind,
-    ColouringMode,
-    ObstructionCertificate,
-    RankColouring,
-    build_counterexample,
-    verify_certificates,
-)
+
+if TYPE_CHECKING:
+    from .witness import ObstructionCertificate, RankColouring
 
 Envelope = dict
 Handler = Tuple[Envelope, List[str], int]
@@ -138,23 +133,13 @@ def _cmd_ptop(ns) -> Handler:
     return env, lines, 0
 
 
-def _cmd_pord(ns) -> Handler:
-    value = p_ord([_parse_operand(t) for t in ns.ordinals])
-    env = _envelope("pord", ns.ordinals,
-                    {"kind": "ordinal", "value": format_cnf(value)})
-    return env, [_fmt(ns)(value)], 0
+_SUMS = {"pord": p_ord, "mrsum": mr_sum,
+         "natsum": lambda operands: natural_sum(*operands)}
 
 
-def _cmd_mrsum(ns) -> Handler:
-    value = mr_sum([_parse_operand(t) for t in ns.ordinals])
-    env = _envelope("mrsum", ns.ordinals,
-                    {"kind": "ordinal", "value": format_cnf(value)})
-    return env, [_fmt(ns)(value)], 0
-
-
-def _cmd_natsum(ns) -> Handler:
-    value = natural_sum(*(_parse_operand(t) for t in ns.ordinals))
-    env = _envelope("natsum", ns.ordinals,
+def _cmd_sum(ns) -> Handler:
+    value = _SUMS[ns.command]([_parse_operand(t) for t in ns.ordinals])
+    env = _envelope(ns.command, ns.ordinals,
                     {"kind": "ordinal", "value": format_cnf(value)})
     return env, [_fmt(ns)(value)], 0
 
@@ -237,6 +222,9 @@ def _serialize_witness(col: RankColouring,
 
 
 def _deserialize_witness(result: dict):
+    from .witness import (CertKind, ColouringMode, ObstructionCertificate,
+                          RankColouring)
+
     def opt(x):
         return None if x is None else parse_ordinal(x)
     col = RankColouring(
@@ -262,6 +250,8 @@ def _deserialize_witness(result: dict):
 
 
 def _cmd_witness(ns) -> Handler:
+    # the witness layer is imported only by the two subcommands that use it
+    from .witness import build_counterexample, verify_certificates
     beta = _parse_operand(ns.beta)
     inst = _parse_instance(ns.entries)
     norm = normalize(inst)
@@ -287,11 +277,12 @@ def _cmd_witness(ns) -> Handler:
 
 
 def _cmd_verify(ns) -> Handler:
+    from .witness import verify_certificates
     with open(ns.file, "r", encoding="utf-8") as fh:
         envelope = json.load(fh)
     try:
         col, certs, inst = _deserialize_witness(envelope["result"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"not a witness file: {exc}") from exc
     norm = normalize(inst)
     ok = isinstance(norm, NormalizedInstance) and \
@@ -344,15 +335,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pord", parents=[common],
                        help="classical pigeonhole number")
     p.add_argument("ordinals", nargs="+", metavar="TARGET")
-    p.set_defaults(handler=_cmd_pord)
+    p.set_defaults(handler=_cmd_sum)
 
-    p = sub.add_parser("mrsum", parents=[common], help="Milner-Rado sum")
-    p.add_argument("ordinals", nargs="+", metavar="ORDINAL")
-    p.set_defaults(handler=_cmd_mrsum)
-
-    p = sub.add_parser("natsum", parents=[common], help="natural sum")
-    p.add_argument("ordinals", nargs="+", metavar="ORDINAL")
-    p.set_defaults(handler=_cmd_natsum)
+    for name, help_text in (("mrsum", "Milner-Rado sum"),
+                            ("natsum", "natural sum")):
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        p.add_argument("ordinals", nargs="+", metavar="ORDINAL")
+        p.set_defaults(handler=_cmd_sum)
 
     p = sub.add_parser("arith", parents=[common], help="ordinal arithmetic")
     p.add_argument("operation", choices=["add", "mul", "cmp"])
@@ -395,7 +384,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         envelope, lines, code = ns.handler(ns)
-    except (ValueError, ArithmeticError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError, RecursionError) as exc:
+        # RecursionError: input nested too deeply, such as a JSON file
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -11,7 +11,6 @@ we report the provable lower bound and the known consistency facts.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .ordinal import (
@@ -21,8 +20,10 @@ from .ordinal import (
     OMEGA1,
     OMEGA2,
     Ordinal,
+    Record,
     ZERO,
     ZeroInput,
+    _set_values,
     add,
     biembed_canonical,
     cardinal_sum,
@@ -47,16 +48,17 @@ class PowerOfOmegaInput(ValueError):
     """Raised by case6_decompose on inputs it is not defined for."""
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Record):
     """Targets with multiplicities.  Multiplicities are positive cardinals."""
 
-    entries: Tuple[Tuple[Ordinal, Cardinal], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        for _, count in self.entries:
+    def __init__(self, entries: Tuple[Tuple[Ordinal, Cardinal], ...]):
+        for _, count in entries:
             if count.is_finite() and count.size < 1:
                 raise EmptyInstance("multiplicities must be at least 1")
+        _set_values(self, (entries,))
+        _set_instance_entries(self, entries)
 
     @staticmethod
     def of(*entries) -> "Instance":
@@ -77,12 +79,15 @@ class Instance:
         return cardinal_sum(c for _, c in self.entries)
 
 
-@dataclass(frozen=True)
-class NormalizedInstance:
+class NormalizedInstance(Record):
     """An instance with every target at least 2 and kappa recomputed."""
 
-    entries: Tuple[Tuple[Ordinal, Cardinal], ...]
-    kappa: Cardinal
+    __slots__ = ("entries", "kappa")
+
+    def __init__(self, entries, kappa: Cardinal):
+        _set_values(self, (entries, kappa))
+        _set_entries(self, entries)
+        _set_kappa(self, kappa)
 
     def flat_targets(self) -> List[Ordinal]:
         """Targets repeated by multiplicity; only valid for finite kappa."""
@@ -94,17 +99,24 @@ class NormalizedInstance:
         return out
 
 
-@dataclass(frozen=True)
-class Exists:
-    value: Ordinal
+class Exists(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: Ordinal):
+        _set_values(self, (value,))
+        _set_value(self, value)
 
     def __repr__(self):
         return f"Exists({self.value})"
 
 
-@dataclass(frozen=True)
-class Infinite:
+class Infinite(Record):
     """No ordinal satisfies the relation; this is provable outright."""
+
+    __slots__ = ()
+
+    def __init__(self):
+        _set_values(self, ())
 
     def __repr__(self):
         return "Infinite"
@@ -124,14 +136,21 @@ NOTE_EQUICONSISTENCY = (
 )
 
 
-@dataclass(frozen=True)
-class Independent:
+class Independent(Record):
     """The exact value is independent of ZFC; zfc_lower is provable."""
 
-    zfc_lower: Ordinal
-    consistent_infinite: str = NOTE_CONSISTENT_INFINITE
-    consistent_equal_lower: str = NOTE_CONSISTENT_EQUAL
-    equiconsistency: str = NOTE_EQUICONSISTENCY
+    __slots__ = ("zfc_lower", "consistent_infinite", "consistent_equal_lower",
+                 "equiconsistency")
+
+    def __init__(self, zfc_lower, consistent_infinite=NOTE_CONSISTENT_INFINITE,
+                 consistent_equal_lower=NOTE_CONSISTENT_EQUAL,
+                 equiconsistency=NOTE_EQUICONSISTENCY):
+        _set_values(self, (zfc_lower, consistent_infinite,
+                        consistent_equal_lower, equiconsistency))
+        _set_zfc_lower(self, zfc_lower)
+        _set_consistent_infinite(self, consistent_infinite)
+        _set_consistent_equal_lower(self, consistent_equal_lower)
+        _set_equiconsistency(self, equiconsistency)
 
     def __repr__(self):
         return f"Independent(zfc_lower={self.zfc_lower})"
@@ -197,8 +216,7 @@ Case6Facts = Tuple[Tuple[Ordinal, ...], Optional[Tuple[Split, ...]],
                    Optional[int]]
 
 
-@dataclass(frozen=True)
-class Analysis:
+class Analysis(Record):
     """One pass through the case tree and the value it resolves to.
 
     In the C6 leaves flat lists the targets repeated by multiplicity,
@@ -209,13 +227,30 @@ class Analysis:
     for the degenerate leaves Zero and AllOnes.
     """
 
-    case: CasePath
-    trail: Tuple[str, ...]
-    result: PigeonholeResult
-    normalized: Optional[NormalizedInstance]
-    flat: Optional[Tuple[Ordinal, ...]] = None
-    decompositions: Optional[Tuple[Split, ...]] = None
-    distinguished: Optional[int] = None
+    __slots__ = ("case", "trail", "result", "normalized", "flat",
+                 "decompositions", "distinguished")
+
+    def __init__(self, case, trail, result, normalized, flat=None,
+                 decompositions=None, distinguished=None):
+        _set_values(self, (case, trail, result, normalized, flat,
+                        decompositions, distinguished))
+        _set_case(self, case)
+        _set_trail(self, trail)
+        _set_result(self, result)
+        _set_normalized(self, normalized)
+        _set_flat(self, flat)
+        _set_decompositions(self, decompositions)
+        _set_distinguished(self, distinguished)
+
+
+# the records' slot writers, which skip the immutability guard
+(_set_instance_entries,) = Instance._writers()
+_set_entries, _set_kappa = NormalizedInstance._writers()
+(_set_value,) = Exists._writers()
+(_set_zfc_lower, _set_consistent_infinite, _set_consistent_equal_lower,
+ _set_equiconsistency) = Independent._writers()
+(_set_case, _set_trail, _set_result, _set_normalized, _set_flat,
+ _set_decompositions, _set_distinguished) = Analysis._writers()
 
 
 def _copies(norm: NormalizedInstance, floor: Ordinal) -> int:

@@ -6,8 +6,8 @@ sums from an ascending scan for the least non-expressible ordinal, and
 the cross-check formulas are written out independently, so agreement is
 evidence rather than tautology.
 
-Enumerations are ascending by construction: exponents go in descending
-order and coefficients upward, so itertools.product yields ordinal order.
+Enumerations are ascending by construction: with exponents descending
+and coefficients rising, product order is ordinal order.
 """
 
 from __future__ import annotations
@@ -97,13 +97,14 @@ class EnumerationBounds:
 
 
 def _terms_over(exponents: List[Ordinal], bounds: EnumerationBounds):
-    # exponents descending, so product order is ascending ordinal order
+    # exponents descending.  The terms over exponents[i:] in product order
+    # are those without e_i, then e_i*c ahead of each shorter one, c rising
     coeffs = range(1, bounds.max_coefficient + 1)
-    choices = [(None,) + tuple((e, c) for c in coeffs) for e in exponents]
-    for picks in product(*choices):
-        monomials = tuple(filter(None, picks))
-        if len(monomials) <= bounds.max_monomials:
-            yield Ordinal(monomials)
+    tails = [()]
+    for e in reversed(exponents):
+        tails = tails + [((e, c),) + t for c in coeffs for t in tails
+                         if len(t) < bounds.max_monomials]
+    return [Ordinal(t) for t in tails]
 
 
 def enumerate_ordinals_below(bounds: EnumerationBounds) -> List[Ordinal]:
@@ -112,7 +113,7 @@ def enumerate_ordinals_below(bounds: EnumerationBounds) -> List[Ordinal]:
     enumerating and keeping the prefix of terms at most max_exponent."""
     pool: List[Ordinal] = []
     while True:
-        terms = list(_terms_over(pool, bounds))
+        terms = _terms_over(pool, bounds)
         grown = terms[:bisect_right(terms, bounds.max_exponent)][::-1]
         if grown == pool:
             return terms

@@ -14,7 +14,6 @@ here and cannot be produced by the exported operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import Iterable, Optional, Sequence, Union
 
@@ -452,15 +451,59 @@ def p_ord(targets: Sequence[Union[Ordinal, int]]) -> Ordinal:
     return mr_sum(targets)
 
 
-# -- cardinals ---------------------------------------------------------------
+# -- records and cardinals ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cardinal:
+class Record:
+    """Immutable record: a subclass names its fields in __slots__ and its
+    __init__ writes them through the slots' writers, as Ordinal does,
+    plus _values, the fields in slot order, which equality (same type
+    too), hash and a dataclass-style repr read.  It keeps dataclasses
+    (and the inspect, ast and dis it loads) off the CLI's start-up.
+    RankColouring, ObstructionCertificate and EnumerationBounds stay
+    dataclasses: the self-test, the tests and the benchmark tamper with
+    certificates through dataclasses.replace, and only the witness and
+    verify subcommands load their modules.
+    """
+
+    __slots__ = ("_values",)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, self._values))
+        return f"{type(self).__qualname__}({fields})"
+
+    @classmethod
+    def _writers(cls) -> tuple:
+        """The writers of the subclass's field slots, in slot order."""
+        return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+
+_set_values = Record._values.__set__
+
+
+class Cardinal(Record):
     """A finite cardinal or an aleph.  aleph_index is None for finite values."""
 
-    aleph_index: Optional[Ordinal] = None
-    size: int = 0
+    __slots__ = ("aleph_index", "size")
+
+    def __init__(self, aleph_index: Optional[Ordinal] = None, size: int = 0):
+        _set_values(self, (aleph_index, size))
+        _set_aleph_index(self, aleph_index)
+        _set_size(self, size)
 
     @staticmethod
     def finite(n: int) -> "Cardinal":
@@ -510,6 +553,9 @@ class Cardinal:
         if self.aleph_index is None:
             return str(self.size)
         return "aleph_" + _format_atom_index(self.aleph_index)
+
+
+_set_aleph_index, _set_size = Cardinal._writers()
 
 
 def _coerce_card(x) -> Cardinal:

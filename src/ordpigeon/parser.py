@@ -16,13 +16,13 @@ canonical forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ordinal import (
     Atom,
     Cardinal,
     OMEGA,
     Ordinal,
+    Record,
+    _set_values,
     add,
     format_cnf,
     from_int,
@@ -52,11 +52,17 @@ class OrdinalSyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class OrdinalExpression:
-    source: str
-    value: Ordinal
-    noncanonical: bool
+class OrdinalExpression(Record):
+    __slots__ = ("source", "value", "noncanonical")
+
+    def __init__(self, source: str, value: Ordinal, noncanonical: bool):
+        _set_values(self, (source, value, noncanonical))
+        _set_source(self, source)
+        _set_value(self, value)
+        _set_noncanonical(self, noncanonical)
+
+
+_set_source, _set_value, _set_noncanonical = OrdinalExpression._writers()
 
 
 class _Scanner:

@@ -154,7 +154,16 @@ def test_verify_error_paths(tmp_path, capsys):
     wrong = tmp_path / "wrong.json"
     wrong.write_text(json.dumps({"command": "ptop", "result": {"kind": "x"}}))
     assert run(["verify", str(wrong)]) == 2
+    # an ordinal field that is not a string
+    wrong.write_text(json.dumps({"result": {"domain": [1]}}))
+    assert run(["verify", str(wrong)]) == 2
     capsys.readouterr()
+    # deeper than the JSON decoder's recursion: a usage error, not exit 1
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert run(["verify", str(deep)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_witness_needs_space_below_threshold(capsys):
@@ -192,15 +201,32 @@ def test_overdeep_nesting_is_a_usage_error(capsys):
     assert len(err) < 2 * EXCERPT + 60
 
 
+def loaded_after(statement, *modules):
+    """Which of modules a fresh interpreter has loaded after statement;
+    -S keeps site hooks from preloading any of them."""
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
+             f"{statement}; print(*[m in sys.modules for m in sys.argv[2:]])")
+    out = subprocess.run([sys.executable, "-S", "-c", probe, SRC, *modules],
+                         capture_output=True, text=True, check=True).stdout
+    return {m: word == "True" for m, word in zip(modules, out.split())}
+
+
 def test_import_leaves_selftest_unloaded():
     # a fresh interpreter: this one imported selftest at the top of the file
-    probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
-             "import ordpigeon.cli; "
-             "print([m in sys.modules for m in sys.argv[2:]])")
-    out = subprocess.run([sys.executable, "-c", probe, SRC,
-                          "ordpigeon.selftest", "ordpigeon.oracle"],
-                         capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[False, False]"
+    unused = ("ordpigeon.selftest", "ordpigeon.oracle", "ordpigeon.witness",
+              "dataclasses")
+    assert loaded_after("import ordpigeon.cli", *unused) == \
+        dict.fromkeys(unused, False)
+    assert loaded_after("import ordpigeon.cli", "ordpigeon.engine") == \
+        {"ordpigeon.engine": True}
+    # the package root loads a submodule only when one of its names is used
+    submodules = ("ordpigeon.ordinal", "ordpigeon.engine", "ordpigeon.parser",
+                  "ordpigeon.witness")
+    assert loaded_after("import ordpigeon", *submodules) == \
+        dict.fromkeys(submodules, False)
+    assert loaded_after("from ordpigeon import Instance", *submodules) == \
+        {"ordpigeon.ordinal": True, "ordpigeon.engine": True,
+         "ordpigeon.parser": False, "ordpigeon.witness": False}
 
 
 def test_closed_stdout_keeps_the_exit_code():

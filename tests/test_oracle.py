@@ -94,7 +94,8 @@ def test_enumerate_twentyseven_terms():
 
 @pytest.mark.parametrize("top, coeff, monos", [
     (wp(2), 2, 3), (w, 3, 2), (from_int(3), 4, 2), (add(w, 1), 3, 3),
-], ids=["w^2-c2-m3", "w-c3-m2", "3-c4-m2", "w+1-c3-m3"])
+    (wp(2), 3, 2),
+], ids=["w^2-c2-m3", "w-c3-m2", "3-c4-m2", "w+1-c3-m3", "w^2-c3-m2"])
 def test_enumerate_sorted_and_distinct(top, coeff, monos):
     got = enumerate_ordinals_below(EnumerationBounds(top, coeff, monos))
     assert all(a < b for a, b in zip(got, got[1:]))
