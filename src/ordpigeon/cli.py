@@ -22,7 +22,6 @@ or unparseable input.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
@@ -277,6 +276,7 @@ def _cmd_witness(ns) -> Handler:
 
 
 def _cmd_verify(ns) -> Handler:
+    import json
     from .witness import verify_certificates
     with open(ns.file, "r", encoding="utf-8") as fh:
         envelope = json.load(fh)
@@ -390,6 +390,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         if ns.json:
+            import json  # only --json output and verify read or write JSON
             print(json.dumps(envelope, indent=2))
         else:
             for line in lines:

@@ -51,14 +51,17 @@ class PowerOfOmegaInput(ValueError):
 class Instance(Record):
     """Targets with multiplicities.  Multiplicities are positive cardinals."""
 
-    __slots__ = ("entries",)
+    # _analysis, kept by the first analyze(self), follows the field slots
+    __slots__ = ("entries", "_analysis")
 
     def __init__(self, entries: Tuple[Tuple[Ordinal, Cardinal], ...]):
+        entries = tuple(entries)
         for _, count in entries:
             if count.is_finite() and count.size < 1:
                 raise EmptyInstance("multiplicities must be at least 1")
         _set_values(self, (entries,))
         _set_instance_entries(self, entries)
+        _set_analysis(self, None)
 
     @staticmethod
     def of(*entries) -> "Instance":
@@ -244,7 +247,7 @@ class Analysis(Record):
 
 
 # the records' slot writers, which skip the immutability guard
-(_set_instance_entries,) = Instance._writers()
+_set_instance_entries, _set_analysis = Instance._writers()
 _set_entries, _set_kappa = NormalizedInstance._writers()
 (_set_value,) = Exists._writers()
 (_set_zfc_lower, _set_consistent_infinite, _set_consistent_equal_lower,
@@ -438,16 +441,22 @@ def p_top_case6_multiples(decs: Sequence[Split],
 
 
 def analyze(inst: Instance) -> Analysis:
-    norm = normalize(inst)
-    if isinstance(norm, NormalizedInstance):
-        return classify(norm)
-    if norm.value.is_zero():
-        return Analysis(CasePath.ZERO, ("some target is 0",), norm, None)
-    return Analysis(CasePath.ALL_ONES, ("every target is 1",), norm, None)
+    """The instance's pass through the case tree, made once per object."""
+    a = inst._analysis
+    if a is None:
+        norm = normalize(inst)
+        if isinstance(norm, NormalizedInstance):
+            a = classify(norm)
+        elif norm.value.is_zero():
+            a = Analysis(CasePath.ZERO, ("some target is 0",), norm, None)
+        else:
+            a = Analysis(CasePath.ALL_ONES, ("every target is 1",), norm, None)
+        _set_analysis(inst, a)
+    return a
 
 
 def p_top(inst: Instance) -> PigeonholeResult:
-    """The topological pigeonhole number of the instance."""
+    """The topological pigeonhole number, from the instance's one analysis."""
     return analyze(inst).result
 
 
@@ -488,7 +497,7 @@ def _resolve(norm: NormalizedInstance, case: CasePath,
 
 
 def relation_holds(beta: Ordinal, inst: Instance) -> RelationVerdict:
-    """Whether the space beta satisfies the instance's partition relation."""
+    """Whether beta satisfies the relation, by the instance's one analysis."""
     result = p_top(inst)
     if isinstance(result, Exists):
         return (RelationVerdict.HOLDS if beta >= result.value

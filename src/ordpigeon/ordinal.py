@@ -40,6 +40,9 @@ class Atom:
     def __setattr__(self, name, value):
         raise AttributeError("Atom is immutable")
 
+    def __reduce__(self):
+        return Atom, (self.index,)
+
     def __eq__(self, other):
         return isinstance(other, Atom) and self.index == other.index
 
@@ -66,6 +69,9 @@ class Ordinal:
 
     def __setattr__(self, name, value):
         raise AttributeError("Ordinal is immutable")
+
+    def __reduce__(self):
+        return Ordinal, (self.monomials,)
 
     # -- structure ---------------------------------------------------------
 
@@ -481,6 +487,10 @@ class Record:
     def __hash__(self):
         return hash(self._values)
 
+    def __reduce__(self):
+        # each subclass's __init__ takes its fields in slot order
+        return type(self), self._values
+
     def __repr__(self):
         fields = ", ".join(f"{name}={value!r}" for name, value
                            in zip(self.__slots__, self._values))
@@ -488,7 +498,7 @@ class Record:
 
     @classmethod
     def _writers(cls) -> tuple:
-        """The writers of the subclass's field slots, in slot order."""
+        """The writers of the subclass's slots, in slot order."""
         return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
 

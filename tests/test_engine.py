@@ -1,7 +1,13 @@
 """Case dispatch and closed-form values of the pigeonhole number."""
 
-import pytest
+import gc
+import random
+from functools import reduce
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ordpigeon import engine
 from ordpigeon.engine import (
     CasePath,
     EmptyInstance,
@@ -261,3 +267,121 @@ def test_relation_verdicts():
     assert relation_holds(wp(2), inst) is RelationVerdict.HOLDS
     assert relation_holds(wp(2) + 1, inst) is RelationVerdict.HOLDS
     assert relation_holds(w * 9 + 5, inst) is RelationVerdict.FAILS
+
+
+# -- one analysis per instance object ------------------------------------------
+
+
+# entries that dispatch to each leaf of the case tree
+LEAF_TEMPLATES = {
+    CasePath.ZERO: (0, w1),
+    CasePath.ALL_ONES: (1,),
+    CasePath.C1: (w1 + 1, w + 1),
+    CasePath.C2aI: ((w1 + 1, 1), (2, A0)),
+    CasePath.C2aIIA: ((w2, 1), (2, A0)),
+    CasePath.C2aIIB: ((wp(as_exponent(w1 * 2)), 1), (2, A1)),
+    CasePath.C2aIIC_lt: ((wp(as_exponent(w1 + w)), 1), (2, A0)),
+    CasePath.C2aIIC_gt: ((wp(as_exponent(wp(w1 + 1))), 1), (2, A0)),
+    CasePath.C2bI: (w2, w),
+    CasePath.C2bII: (w1 + 1, w),
+    CasePath.C2cI: (w1 * 2 + 5,),
+    CasePath.C2cII: ((w1 + 1, 1), (2, 1)),
+    CasePath.C3: (w1, w1),
+    CasePath.C4: (w1, w),
+    CasePath.C5: ((w, A0),),
+    CasePath.C6a: (3, 4),
+    CasePath.C6b: (w, w * 2),
+    CasePath.C6cI: ((w * 2, 2),),
+    CasePath.C6cII: (w * 2, w * 2 + 1),
+}
+
+# criterion 3's exponents: the ordinals up to w^2 with coefficients at
+# most 2, decreasing; its class gives each a coefficient 0..2
+C3_EXPONENTS = (wp(2), w * 2 + 2, w * 2 + 1, w * 2, w + 2, w + 1, w,
+                from_int(2), ONE, ZERO)
+
+
+def c3_target(coefficients):
+    return reduce(add, (mul(wp(e), from_int(c))
+                        for e, c in zip(C3_EXPONENTS, coefficients)), ZERO)
+
+
+c3_targets = st.lists(st.integers(0, 2), min_size=10, max_size=10).map(
+    c3_target).filter(lambda a: a > ONE)
+instance_entries = st.one_of(
+    c3_targets.map(lambda a: ((a, 2),)),
+    st.lists(c3_targets, min_size=2, max_size=3).map(tuple),
+    st.sampled_from(list(LEAF_TEMPLATES.values())))
+
+
+def test_leaf_templates_reach_their_leaves():
+    for leaf, entries in LEAF_TEMPLATES.items():
+        assert case_of(*entries) is leaf
+    assert set(LEAF_TEMPLATES) == set(CasePath)
+
+
+def test_an_instance_object_walks_the_case_tree_once(monkeypatch):
+    walks = []
+    walk = engine._case_tree
+
+    def counted(norm, trail):
+        walks.append(norm)
+        return walk(norm, trail)
+
+    monkeypatch.setattr(engine, "_case_tree", counted)
+    inst = Instance.of(w * 2, w * 2 + 1)
+    top = analyze(inst).result.value
+    assert p_top(inst) == Exists(top)
+    assert relation_holds(top, inst) is RelationVerdict.HOLDS
+    assert relation_holds(wp(2) * 2, inst) is RelationVerdict.FAILS
+    assert len(walks) == 1
+    # an equal instance built separately is analysed on its own
+    twin = Instance.of(w * 2, w * 2 + 1)
+    assert twin == inst and p_top(twin) == p_top(inst)
+    assert len(walks) == 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance_entries)
+def test_the_kept_analysis_is_a_fresh_one(entries):
+    inst = Instance.of(*entries)
+    twin = Instance(inst.entries)
+    before = (inst == twin, hash(inst), repr(inst))
+    kept = analyze(inst)
+    assert analyze(inst) is kept and p_top(inst) is kept.result
+    assert kept == analyze(Instance(inst.entries))
+    assert (inst == twin, hash(inst), repr(inst)) == before
+
+
+def test_entries_are_frozen():
+    entries = [(w * 2, Cardinal.finite(1)), (w * 2 + 1, Cardinal.finite(1))]
+    inst = Instance(entries)
+    before = (analyze(inst), hash(inst))
+    entries[0] = (w1, Cardinal.finite(2))
+    entries.append((w2, Cardinal.finite(1)))
+    assert inst.entries == Instance.of(w * 2, w * 2 + 1).entries
+    assert (analyze(inst), hash(inst)) == before
+    assert p_top(Instance(entries)) != before[0].result
+    # a tuple is kept as it is
+    frozen = tuple(entries)
+    assert Instance(frozen).entries is frozen
+
+
+def test_analysed_instances_leave_no_reference_cycles():
+    rng = random.Random(6)
+    templates = list(LEAF_TEMPLATES.values())
+    gc.collect()
+    gc.disable()
+    try:
+        for i in range(200):
+            if i % 2:
+                entries = templates[i % len(templates)]
+            else:
+                entries = ((c3_target([rng.randint(0, 2) for _ in range(10)])
+                            + 2, 2),)
+            inst = Instance.of(*entries)
+            p_top(inst)
+            del inst
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,5 +1,8 @@
 """The lazily resolved package root and the immutable records."""
 
+import copy
+import pickle
+
 import pytest
 
 import ordpigeon
@@ -150,3 +153,22 @@ def test_instance_keeps_its_empty_check():
         Instance(((w, Cardinal.finite(0)),))
     with pytest.raises(engine.EmptyInstance):
         Instance.of((w, 0))
+
+
+COPIES = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+          "pickle": lambda x: pickle.loads(pickle.dumps(x))}
+
+
+@pytest.mark.parametrize("how", COPIES)
+def test_values_and_records_copy_and_pickle(how):
+    analysed = Instance.of((add(w, 1), 3))
+    analysis = analyze(analysed)
+    values = [ordinal.ZERO, w, OMEGA1, omega_pow(omega_pow(w)),
+              add(OMEGA1, 1), ordinal.Atom(ordinal.ONE)]
+    for x in [*values, *make_records(), analysed]:
+        y = COPIES[how](x)
+        assert type(y) is type(x)
+        assert y == x and hash(y) == hash(x) and repr(y) == repr(x)
+    # a copy of an analysed instance carries no analysis: it makes its own
+    twin = COPIES[how](analysed)
+    assert analyze(twin) == analysis and analyze(twin) is not analysis
