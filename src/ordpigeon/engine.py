@@ -23,6 +23,8 @@ from .ordinal import (
     Record,
     ZERO,
     ZeroInput,
+    _coerce,
+    _coerce_card,
     _set_values,
     add,
     biembed_canonical,
@@ -55,7 +57,11 @@ class Instance(Record):
     __slots__ = ("entries", "_analysis")
 
     def __init__(self, entries: Tuple[Tuple[Ordinal, Cardinal], ...]):
+        # coerce ints, reject other types at once; keep a well-typed tuple
         entries = tuple(entries)
+        if not all(isinstance(t, Ordinal) and isinstance(c, Cardinal)
+                   for t, c in entries):
+            entries = tuple((_coerce(t), _coerce_card(c)) for t, c in entries)
         for _, count in entries:
             if count.is_finite() and count.size < 1:
                 raise EmptyInstance("multiplicities must be at least 1")
@@ -65,18 +71,8 @@ class Instance(Record):
 
     @staticmethod
     def of(*entries) -> "Instance":
-        norm = []
-        for item in entries:
-            if isinstance(item, tuple):
-                target, count = item
-            else:
-                target, count = item, 1
-            if isinstance(target, int):
-                target = from_int(target)
-            if isinstance(count, int):
-                count = Cardinal.finite(count)
-            norm.append((target, count))
-        return Instance(tuple(norm))
+        return Instance([item if isinstance(item, tuple) else (item, 1)
+                         for item in entries])
 
     def kappa(self) -> Cardinal:
         return cardinal_sum(c for _, c in self.entries)

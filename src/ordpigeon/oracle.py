@@ -4,7 +4,9 @@ Nothing here reuses the closed formulas of the main engine: finite
 pigeonhole numbers come from exhaustive colouring search, Milner-Rado
 sums from an ascending scan for the least non-expressible ordinal, and
 the cross-check formulas are written out independently, so agreement is
-evidence rather than tautology.
+evidence rather than tautology; nothing here calls mr_sum or natural_sum.
+Each Milner-Rado scan asks one witness.NatsumSplitter, kept for that
+scan only, yes or no per candidate.
 
 Enumerations are ascending by construction: with exponents descending
 and coefficients rising, product order is ordinal order.
@@ -34,7 +36,7 @@ from .ordinal import (
     mul,
     omega_pow,
 )
-from .witness import natsum_expressible
+from .witness import NatsumSplitter
 
 COLOURING_GUARD = 30_000_000
 
@@ -149,8 +151,9 @@ def bruteforce_mr_sum(bounds_list) -> Ordinal:
         raise ZeroInput("bounds must be positive")
     if any(not b.is_countable() for b in bounds_list):
         raise ValueError("brute-force search is for countable bounds only")
+    splitter = NatsumSplitter(bounds_list)
     for delta in _candidate_lattice(bounds_list):
-        if natsum_expressible(delta, bounds_list) is None:
+        if not splitter.splits(delta):
             return delta
     raise AssertionError("the scan always meets a non-expressible ordinal")
 
@@ -169,20 +172,19 @@ def mr_sum_bruteforce_check(bounds_list, candidate, sample_count: int) -> bool:
     everything sampled below it: all ordinals below min(candidate, 50),
     the candidate's one-step-down neighbours, and sample_count seeded
     draws of the form w^a*b + c."""
-    bounds_list = [_coerce(b) for b in bounds_list]
+    splitter = NatsumSplitter(bounds_list)
+    bounds_list = splitter.bounds
     candidate = _coerce(candidate)
-    if any(b.is_zero() for b in bounds_list):
-        raise ZeroInput("bounds must be positive")
-    if natsum_expressible(candidate, bounds_list) is not None:
+    if splitter.splits(candidate):
         return False
 
     small = int(candidate) if candidate.is_finite() else 50
     for n in range(min(small, 50)):
-        if natsum_expressible(from_int(n), bounds_list) is None:
+        if not splitter.splits(from_int(n)):
             return False
 
     for probe in _step_down(candidate):
-        if natsum_expressible(probe, bounds_list) is None:
+        if not splitter.splits(probe):
             return False
 
     exp_pool = sorted({ZERO} | {
@@ -194,8 +196,7 @@ def mr_sum_bruteforce_check(bounds_list, candidate, sample_count: int) -> bool:
         b = rng.randint(1, 5)
         c = rng.randint(0, 4)
         delta = add(mul(omega_pow(a), from_int(b)), from_int(c))
-        if delta < candidate and \
-                natsum_expressible(delta, bounds_list) is None:
+        if delta < candidate and not splitter.splits(delta):
             return False
     return True
 

@@ -174,80 +174,113 @@ def residual_shape(alpha: Ordinal, zeta: Ordinal) -> Ordinal:
 # -- natural-sum splitting ------------------------------------------------------
 
 
-def _compositions(total: int, k: int):
-    # first part takes as much as possible first
-    if k == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for rest in _compositions(total - head, k - 1):
-            yield (head,) + rest
+class NatsumSplitter:
+    """Natural-sum splittings of many deltas below one list of bounds.
+    The bounds are coerced and checked once; each exponent list's merge
+    with them is made on first use and kept, keyed by the identity of
+    the exponent objects (the table holds them, so no id is reused;
+    hashing fresh trees by value cost more than it saved).  parts()
+    builds the canonical first splitting, splits() only answers."""
+
+    __slots__ = ("bounds", "_tables")
+
+    def __init__(self, bounds):
+        bounds = [_coerce(b) for b in bounds]
+        if not bounds:
+            raise ZeroInput("at least one bound is required")
+        if any(b.is_zero() for b in bounds):
+            raise ZeroInput("bounds must be non-zero")
+        self.bounds = bounds
+        self._tables: Dict[tuple, tuple] = {}
+
+    def _merge(self, monos):
+        # bit i of skipped[j] says bound i has a monomial above e_j (last
+        # entry: anywhere) that delta lacks; coeffs[j][i] is bound i's
+        # coefficient at e_j
+        k = len(self.bounds)
+        skipped = [0] * (len(monos) + 1)
+        coeffs = [[0] * k for _ in monos]
+        for i, b in enumerate(self.bounds):
+            bm, ptr, gap = b.monomials, 0, 0
+            for j, (e, _) in enumerate(monos):
+                while ptr < len(bm):
+                    order = exp_compare(bm[ptr][0], e)
+                    if order < 0:
+                        break
+                    ptr += 1
+                    if order == 0:
+                        coeffs[j][i] = bm[ptr - 1][1]
+                        break
+                    gap = 1 << i
+                skipped[j] |= gap
+            skipped[-1] |= 1 << i if ptr < len(bm) else gap
+        return monos, skipped, coeffs
+
+    def _search(self, monos) -> Optional[List[int]]:
+        """The parts' shares of each coefficient, k per position, until
+        every part is below its bound (the first part takes the rest), or
+        None; largest first part first, feasible shares only."""
+        key = tuple([id(e) for e, _ in monos])
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = self._merge(monos)
+        _, skipped, coeffs = table
+        n, last = len(monos), len(self.bounds) - 1
+        every = (2 << last) - 1
+        shares: List[int] = []
+
+        def place(j, below):
+            # bit i of below: part i is already strictly below bound i
+            below |= skipped[j]
+            if below == every:
+                return True
+            return j < n and share(j, 0, monos[j][1], below, below)
+
+        def share(j, i, left, below, nbelow):
+            # part i takes p of the left coefficient, the last part all of it
+            bit = 1 << i
+            cap = left if below & bit else coeffs[j][i]
+            if i == last:
+                if left > cap:
+                    return False
+                shares.append(left)
+                if place(j + 1, nbelow | bit if left < cap else nbelow):
+                    return True
+                shares.pop()
+                return False
+            for p in range(min(left, cap), -1, -1):
+                shares.append(p)
+                if share(j, i + 1, left - p, below,
+                         nbelow | bit if p < cap else nbelow):
+                    return True
+                shares.pop()
+            return False
+
+        return shares if place(0, 0) else None
+
+    def splits(self, delta) -> bool:
+        """Whether delta is a natural sum of parts below the bounds."""
+        return self._search(_coerce(delta).monomials) is not None
+
+    def parts(self, delta) -> Optional[List[Ordinal]]:
+        """The canonical first splitting of delta, or None."""
+        monos = _coerce(delta).monomials
+        shares = self._search(monos)
+        if shares is None:
+            return None
+        k = len(self.bounds)
+        for _, c in monos[len(shares) // k:]:
+            shares += [c] + [0] * (k - 1)
+        return [Ordinal(tuple((e, p) for (e, _), p in zip(monos, shares[i::k])
+                              if p)) for i in range(k)]
 
 
 def natsum_expressible(delta, bounds) -> Optional[List[Ordinal]]:
     """A list of parts with natural sum delta and part i strictly below
     bounds[i], or None.  Searches the coefficient splittings of delta's
-    normal form, largest first part first, so the result is canonical."""
-    delta = _coerce(delta)
-    bounds = [_coerce(b) for b in bounds]
-    if not bounds:
-        raise ZeroInput("at least one bound is required")
-    if any(b.is_zero() for b in bounds):
-        raise ZeroInput("bounds must be non-zero")
-    monos = delta.monomials
-    k = len(bounds)
-    # Merge each bound with delta's exponents once, so the search compares ints:
-    # bit i of skipped[j] says bound i has a monomial above e_j (last entry:
-    # anywhere) that delta lacks; coeffs[j][i] is bound i's coefficient at e_j.
-    skipped = [0] * (len(monos) + 1)
-    coeffs = [[0] * k for _ in monos]
-    for i, b in enumerate(bounds):
-        bm, ptr, gap = b.monomials, 0, 0
-        for j, (e, _) in enumerate(monos):
-            while ptr < len(bm):
-                order = exp_compare(bm[ptr][0], e)
-                if order < 0:
-                    break
-                ptr += 1
-                if order == 0:
-                    coeffs[j][i] = bm[ptr - 1][1]
-                    break
-                gap = 1 << i
-            skipped[j] |= gap
-        skipped[-1] |= 1 << i if ptr < len(bm) else gap
-    every = (1 << k) - 1
-
-    def rec(j, below):
-        # bit i of below: part i is already strictly below bound i; once all
-        # are, the first part takes what is left, as the first splitting does
-        below |= skipped[j]
-        if below == every:
-            return [(c,) + (0,) * (k - 1) for _, c in monos[j:]]
-        if j == len(monos):
-            return None
-        caps = coeffs[j]
-        for comp in _compositions(monos[j][1], k):
-            nbelow = below
-            for i, p in enumerate(comp):
-                if not below >> i & 1:
-                    if p > caps[i]:
-                        break
-                    if p < caps[i]:
-                        nbelow |= 1 << i
-            else:
-                rest = rec(j + 1, nbelow)
-                if rest is not None:
-                    return [comp] + rest
-        return None
-
-    comps = rec(0, 0)
-    if comps is None:
-        return None
-    parts = []
-    for i in range(k):
-        parts.append(Ordinal(tuple(
-            (e, comp[i]) for (e, _), comp in zip(monos, comps) if comp[i])))
-    return parts
+    normal form, largest first part first, so the result is canonical.
+    Callers with many deltas per bound list keep one NatsumSplitter."""
+    return NatsumSplitter(bounds).parts(delta)
 
 
 def natsum_split(eta, parts, final_part: Optional[int] = None) -> List[IntervalUnion]:

@@ -70,6 +70,20 @@ def test_empty_instance_rejected():
         Instance.of((w, 0))
 
 
+def test_instance_coerces_ints_and_rejects_other_types():
+    assert p_top(Instance(((w, 2),))) == p_top(Instance.of((w, 2)))
+    assert p_top(Instance(((2, Cardinal.finite(2)),))) == Exists(from_int(3))
+    assert Instance([(3, 2)]).entries == ((from_int(3), Cardinal.finite(2)),)
+    with pytest.raises(TypeError):
+        Instance((("w", 1),))
+    with pytest.raises(TypeError):
+        Instance(((w, 1.5),))
+    with pytest.raises(TypeError):
+        Instance.of("w")
+    with pytest.raises(EmptyInstance):
+        Instance(((w, 0),))
+
+
 def test_degenerate_targets():
     assert p_top(Instance.of(0, w)) == Exists(ZERO)
     assert p_top(Instance.of(1, 1, 1)) == Exists(ONE)

@@ -18,12 +18,15 @@ from ordpigeon.ordinal import (
     add,
     cb_rank,
     from_int,
+    mr_sum,
     mul,
     omega_pow,
 )
+from ordpigeon.oracle import mr_sum_bruteforce_check
 from ordpigeon.witness import (
     CertKind,
     ColouringMode,
+    NatsumSplitter,
     NotBelowThreshold,
     ObstructionCertificate,
     OutOfDomain,
@@ -80,6 +83,8 @@ def test_natsum_expressible_edges():
         natsum_expressible(w, [ZERO, w])
     with pytest.raises(ZeroInput):
         natsum_expressible(w, [])
+    # the oracles read the coerced bounds back from their splitter
+    assert NatsumSplitter([2, add(w, 1)]).bounds == [from_int(2), add(w, 1)]
 
 
 def test_natsum_expressible_takes_the_largest_first_part():
@@ -120,6 +125,53 @@ def first_splitting(delta, bounds):
                          min_size=1, max_size=3))
 def test_natsum_expressible_is_the_first_splitting(delta, bounds):
     assert natsum_expressible(delta, bounds) == first_splitting(delta, bounds)
+
+
+def rebuilt(x):
+    """An equal copy sharing no node with x, exponents and atoms included."""
+    if isinstance(x, Atom):
+        return Atom(rebuilt(x.index))
+    return Ordinal(tuple((rebuilt(e), c) for e, c in x.monomials))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(forms(), st.booleans()), min_size=5, max_size=10),
+       st.lists(forms().filter(lambda b: not b.is_zero()),
+                min_size=1, max_size=3))
+def test_one_splitter_answers_every_delta(deltas, bounds):
+    # deltas drawn from forms() share exponent objects, so the splitter
+    # reuses its tables; the rebuilt copies are equal but never identical
+    splitter = NatsumSplitter(bounds)
+    for delta, copy in deltas:
+        for d in (delta, rebuilt(delta)) if copy else (delta,):
+            want = first_splitting(d, bounds)
+            assert splitter.parts(d) == want
+            assert splitter.splits(d) is (want is not None)
+
+
+@pytest.mark.parametrize("bounds", [
+    [add(mul(wp(2), 2), w), add(mul(w, 3), 1)],
+    [add(wp(add(w, 1)), 2), mul(wp(w), 2), from_int(3)],
+    [mul(w, 2), wp(Atom(ONE))],
+])
+def test_a_milner_rado_check_merges_each_exponent_list_once(monkeypatch, bounds):
+    searched, merged = [], []
+    search, merge = NatsumSplitter._search, NatsumSplitter._merge
+
+    def counting_search(self, monos):
+        searched.append(tuple(e for e, _ in monos))
+        return search(self, monos)
+
+    def counting_merge(self, monos):
+        merged.append(tuple(e for e, _ in monos))
+        return merge(self, monos)
+
+    monkeypatch.setattr(NatsumSplitter, "_search", counting_search)
+    monkeypatch.setattr(NatsumSplitter, "_merge", counting_merge)
+    assert mr_sum_bruteforce_check(bounds, mr_sum(bounds), 50)
+    # one merge per exponent list searched, equal lists counted once
+    assert sorted(map(repr, merged)) == sorted(map(repr, set(searched)))
+    assert len(merged) < len(searched)
 
 
 def test_natsum_split_pinned():
