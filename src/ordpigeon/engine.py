@@ -6,12 +6,17 @@ colour class containing a homeomorphic copy of its target.  The answer is
 an ordinal, or provably no ordinal at all, or (for two or more copies of
 w_1 among countable-or-w_1 targets) a value independent of ZFC, for which
 we report the provable lower bound and the known consistency facts.
+
+classify walks the case tree once, and each leaf computes its value
+where the tree reaches it.  A count is a number throughout: in the
+finite-colour leaves a target of count c enters each formula once,
+scaled by c, so no leaf lists the targets copy by copy.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Tuple, Union
 
 from .ordinal import (
     Cardinal,
@@ -35,7 +40,7 @@ from .ordinal import (
     from_int,
     is_power_of_omega,
     leading_decomposition,
-    mr_sum,
+    mr_sum_counted,
     mul,
     natural_sum,
     omega_pow,
@@ -87,15 +92,6 @@ class NormalizedInstance(Record):
         _set_values(self, (entries, kappa))
         _set_entries(self, entries)
         _set_kappa(self, kappa)
-
-    def flat_targets(self) -> List[Ordinal]:
-        """Targets repeated by multiplicity; only valid for finite kappa."""
-        if not self.kappa.is_finite():
-            raise ValueError("flat_targets requires finite kappa")
-        out: List[Ordinal] = []
-        for target, count in self.entries:
-            out.extend([target] * count.size)
-        return out
 
 
 class Exists(Record):
@@ -208,36 +204,28 @@ def normalize(inst: Instance) -> Union[NormalizedInstance, PigeonholeResult]:
 Split = Tuple[Ordinal, int, bool]
 
 
-# the C6 leaves' facts: the targets repeated by multiplicity, their
-# case6_decompose splits and the distinguished index (the last two only
-# in the C6c leaves)
-Case6Facts = Tuple[Tuple[Ordinal, ...], Optional[Tuple[Split, ...]],
-                   Optional[int]]
-
-
 class Analysis(Record):
-    """One pass through the case tree and the value it resolves to.
+    """One pass through the case tree and the value its leaf computes.
 
-    In the C6 leaves flat lists the targets repeated by multiplicity,
-    decompositions holds their case6_decompose splits (C6c only) and
-    distinguished the index of the exact multiple that dominates in C6cI.
-    The resolver and the witness builder read these facts here instead of
-    deriving them again; outside C6 they are None.  normalized is None
-    for the degenerate leaves Zero and AllOnes.
+    In the C6c leaves decompositions holds one case6_decompose split per
+    entry of the normalized instance, in entry order, and distinguished
+    the index of the entry whose exact multiple dominates in C6cI; the
+    witness builder reads these per-entry facts here and gives them to
+    each of the entry's colours.  Elsewhere they are None.  normalized
+    is None for the degenerate leaves Zero and AllOnes.
     """
 
-    __slots__ = ("case", "trail", "result", "normalized", "flat",
-                 "decompositions", "distinguished")
+    __slots__ = ("case", "trail", "result", "normalized", "decompositions",
+                 "distinguished")
 
-    def __init__(self, case, trail, result, normalized, flat=None,
-                 decompositions=None, distinguished=None):
-        _set_values(self, (case, trail, result, normalized, flat,
-                        decompositions, distinguished))
+    def __init__(self, case, trail, result, normalized, decompositions=None,
+                 distinguished=None):
+        _set_values(self, (case, trail, result, normalized, decompositions,
+                        distinguished))
         _set_case(self, case)
         _set_trail(self, trail)
         _set_result(self, result)
         _set_normalized(self, normalized)
-        _set_flat(self, flat)
         _set_decompositions(self, decompositions)
         _set_distinguished(self, distinguished)
 
@@ -248,8 +236,8 @@ _set_entries, _set_kappa = NormalizedInstance._writers()
 (_set_value,) = Exists._writers()
 (_set_zfc_lower, _set_consistent_infinite, _set_consistent_equal_lower,
  _set_equiconsistency) = Independent._writers()
-(_set_case, _set_trail, _set_result, _set_normalized, _set_flat,
- _set_decompositions, _set_distinguished) = Analysis._writers()
+(_set_case, _set_trail, _set_result, _set_normalized, _set_decompositions,
+ _set_distinguished) = Analysis._writers()
 
 
 def _copies(norm: NormalizedInstance, floor: Ordinal) -> int:
@@ -263,16 +251,15 @@ _OMEGA_SUCC = add(OMEGA, ONE)
 
 
 def classify(norm: NormalizedInstance) -> Analysis:
-    """Walk the case tree once and resolve the leaf it reaches."""
+    """Walk the case tree once; the leaf it reaches computes the result
+    from the entries and their counts."""
     trail: List[str] = []
-    case, c6 = _case_tree(norm, trail)
-    flat, decs, s = c6 or (None, None, None)
-    return Analysis(case, tuple(trail), _resolve(norm, case, flat, decs, s),
-                    norm, flat, decs, s)
+    case, result, *c6c = _case_tree(norm, trail)
+    return Analysis(case, tuple(trail), result, norm, *c6c)
 
 
-def _case_tree(norm: NormalizedInstance, trail: List[str]
-               ) -> Tuple[CasePath, Optional[Case6Facts]]:
+def _case_tree(norm: NormalizedInstance, trail: List[str]) -> tuple:
+    # (case, result), plus (decompositions, distinguished) in C6c
     kappa = norm.kappa
     big = next((t for t, _ in norm.entries if t > OMEGA1), None)
 
@@ -280,82 +267,107 @@ def _case_tree(norm: NormalizedInstance, trail: List[str]
         trail.append("some target exceeds w_1")
         if _copies(norm, _OMEGA_SUCC) >= 2:
             trail.append("a second target is at least w+1")
-            return CasePath.C1, None
+            return CasePath.C1, Infinite()
         trail.append("every other target is at most w")
         if not kappa.is_finite():
             trail.append("infinitely many colours")
+            succ = kappa.successor().as_ordinal()
             if not is_power_of_omega(big):
                 trail.append("the large target is not a power of w")
-                return CasePath.C2aI, None
+                return CasePath.C2aI, Exists(mul(big, succ))
             trail.append("the large target is a power of w")
             cf = cofinality(big)
             if cf > kappa.as_ordinal():
                 trail.append("its cofinality exceeds the number of colours")
-                return CasePath.C2aIIA, None
+                return CasePath.C2aIIA, Exists(big)
             if cf > OMEGA:
                 trail.append("its cofinality is uncountable but not above "
                              "the number of colours")
-                return CasePath.C2aIIB, None
+                return CasePath.C2aIIB, Exists(mul(big, succ))
             trail.append("its cofinality is countable")
             delta = cb_rank(exponent_ordinal(big.leading_exponent()))
-            succ = kappa.successor().as_ordinal()
             assert delta != succ, "tail exponent cannot be the successor " \
                 "cardinal: that would force uncountable cofinality"
             if delta < succ:
                 trail.append("the exponent's tail rank is below the "
                              "successor of the number of colours")
-                return CasePath.C2aIIC_lt, None
+                return CasePath.C2aIIC_lt, Exists(mul(big, succ))
             trail.append("the exponent's tail rank is above the successor "
                          "of the number of colours")
-            return CasePath.C2aIIC_gt, None
+            return CasePath.C2aIIC_gt, Exists(big)
         trail.append("finitely many colours")
         if any(t == OMEGA for t, _ in norm.entries):
             trail.append("some other target equals w")
             if is_power_of_omega(big):
                 trail.append("the large target is a power of w")
-                return CasePath.C2bI, None
+                return CasePath.C2bI, Exists(big)
             trail.append("the large target is not a power of w")
-            return CasePath.C2bII, None
+            return CasePath.C2bII, Exists(mul(big, OMEGA))
         trail.append("every other target is finite")
         if is_power_of_omega(big) or kappa == Cardinal.finite(1):
             trail.append("the large target is a power of w, or it is the "
                          "only target")
-            return CasePath.C2cI, None
+            return CasePath.C2cI, Exists(biembed_canonical(big))
         trail.append("the large target is not a power of w and there are "
                      "other targets")
-        return CasePath.C2cII, None
+        # w^g*m + 1 <= big <= w^g*(m+1); big is not w^g, so m >= 2 at rest 0
+        g, m, rest = leading_decomposition(big)
+        if rest.is_zero():
+            m -= 1
+        others = sum((int(t) - 1) * c.size for t, c in norm.entries
+                     if t != big)
+        return CasePath.C2cII, Exists(
+            add(mul(omega_pow(g), from_int(others + m)), ONE))
 
     trail.append("no target exceeds w_1")
     at_w1 = _copies(norm, OMEGA1)
     if at_w1 >= 2:
         trail.append("at least two copies of w_1 among the targets")
-        return CasePath.C3, None
+        return CasePath.C3, Independent(
+            zfc_lower=max(OMEGA2, kappa.successor().as_ordinal()))
     if at_w1 == 1:
         trail.append("exactly one copy of w_1 among the targets")
-        return CasePath.C4, None
+        return CasePath.C4, Exists(
+            max(OMEGA1, kappa.successor().as_ordinal()))
     trail.append("every target is countable")
     if not kappa.is_finite():
         trail.append("infinitely many colours")
-        return CasePath.C5, None
+        return CasePath.C5, Exists(kappa.successor().as_ordinal())
     trail.append("finitely many colours")
-    flat = tuple(norm.flat_targets())
-    if all(t.is_finite() for t in flat):
+    # each C6 value is a sum over the targets, so an entry's count scales
+    # its term instead of repeating it
+    entries = [(t, c.size) for t, c in norm.entries]
+    if all(t.is_finite() for t, _ in entries):
         trail.append("every target is finite")
-        return CasePath.C6a, (flat, None, None)
-    if any(is_power_of_omega(t) for t in flat):
+        return CasePath.C6a, Exists(
+            from_int(sum((int(t) - 1) * c for t, c in entries) + 1))
+    if any(is_power_of_omega(t) for t, _ in entries):
         trail.append("some target is a power of w")
-        return CasePath.C6b, (flat, None, None)
+        return CasePath.C6b, Exists(omega_pow(mr_sum_counted(
+            [(minimal_omega_power_bound(t), c) for t, c in entries])))
     trail.append("no target is a power of w and some target is infinite")
-    # one split per entry, repeated by multiplicity as in flat
-    decs = tuple(d for t, c in norm.entries
-                 for d in [case6_decompose(t)] * c.size)
-    s = _distinguished_index(decs)
+    decs = tuple(case6_decompose(t) for t, _ in entries)
+    counts = [c for _, c in entries]
+    # the natural sum of c copies of g multiplies g's coefficients by c
+    gamma = natural_sum(*(g if c == 1 else
+                          Ordinal(tuple((e, k * c) for e, k in g.monomials))
+                          for (g, _, _), c in zip(decs, counts)))
+    # the first exact multiple of least rank whose every other copy,
+    # its own included, has m = 1
+    ranks = [cb_rank(g) for g, _, _ in decs]
+    s = next((s for s, (_, _, exact) in enumerate(decs)
+              if exact and not any(ranks[s] > r for r in ranks)
+              and all(m == 1 for i, (_, m, _) in enumerate(decs)
+                      if i != s or counts[i] > 1)), None)
     if s is not None:
         trail.append("an exact multiple of a power of w has minimal rank "
                      "and all other multiplicities are 1")
-        return CasePath.C6cI, (flat, decs, s)
+        return CasePath.C6cI, Exists(
+            mul(omega_pow(gamma), from_int(decs[s][1] + 1))), decs, s
     trail.append("no exact-multiple target dominates")
-    return CasePath.C6cII, (flat, decs, None)
+    total = sum((m - 1) * c for (_, m, _), c in zip(decs, counts)) + 1
+    return CasePath.C6cII, Exists(
+        add(mul(omega_pow(gamma), from_int(total)), ONE)), decs, None
 
 
 def minimal_omega_power_bound(a: Ordinal) -> Ordinal:
@@ -394,48 +406,6 @@ def case6_decompose(a: Ordinal) -> Split:
     return g, m, False
 
 
-def _decompose_any(a: Ordinal) -> Tuple[Ordinal, int]:
-    # (g, m) with w^g*m + 1 <= a <= w^g*(m+1); works above w_1 too.
-    g, m, rest = leading_decomposition(a)
-    if rest.is_zero() and m >= 2:
-        return g, m - 1
-    return g, m
-
-
-def _distinguished_index(decs: Sequence[Split]
-                         ) -> Optional[int]:
-    # decs are the targets' case6_decompose splits
-    ranks = [cb_rank(g) for g, _, _ in decs]
-    for s, (g, m, exact) in enumerate(decs):
-        if not exact:
-            continue
-        if any(ranks[s] > r for r in ranks):
-            continue
-        if all(m_i == 1 for i, (_, m_i, _) in enumerate(decs) if i != s):
-            return s
-    return None
-
-
-def p_top_case6_power(flat: Sequence[Ordinal]) -> Ordinal:
-    """Finitely many countable targets, listed by multiplicity, at least
-    one a power of w: the value is w to the Milner-Rado sum of the least
-    power bounds."""
-    if not any(is_power_of_omega(t) for t in flat):
-        raise ValueError("some target must be a power of w")
-    return omega_pow(mr_sum([minimal_omega_power_bound(t) for t in flat]))
-
-
-def p_top_case6_multiples(decs: Sequence[Split],
-                          s: Optional[int]) -> Ordinal:
-    """Finitely many countable infinite targets, none a power of w, given
-    their case6_decompose splits and the distinguished index, if any."""
-    gamma = natural_sum(*(g for g, _, _ in decs))
-    if s is not None:
-        return mul(omega_pow(gamma), from_int(decs[s][1] + 1))
-    total = sum(m - 1 for _, m, _ in decs) + 1
-    return add(mul(omega_pow(gamma), from_int(total)), ONE)
-
-
 def analyze(inst: Instance) -> Analysis:
     """The instance's pass through the case tree, made once per object."""
     a = inst._analysis
@@ -454,42 +424,6 @@ def analyze(inst: Instance) -> Analysis:
 def p_top(inst: Instance) -> PigeonholeResult:
     """The topological pigeonhole number, from the instance's one analysis."""
     return analyze(inst).result
-
-
-def _resolve(norm: NormalizedInstance, case: CasePath,
-             flat: Optional[Tuple[Ordinal, ...]],
-             decs: Optional[Tuple[Split, ...]],
-             s: Optional[int]) -> PigeonholeResult:
-    kappa = norm.kappa
-    if case is CasePath.C1:
-        return Infinite()
-    if case.value.startswith("C2"):
-        big = next(t for t, _ in norm.entries if t > OMEGA1)
-        succ = kappa.successor().as_ordinal()
-        if case in (CasePath.C2aI, CasePath.C2aIIB, CasePath.C2aIIC_lt):
-            return Exists(mul(big, succ))
-        if case in (CasePath.C2aIIA, CasePath.C2aIIC_gt, CasePath.C2bI):
-            return Exists(big)
-        if case is CasePath.C2bII:
-            return Exists(mul(big, OMEGA))
-        if case is CasePath.C2cI:
-            return Exists(biembed_canonical(big))
-        g, m = _decompose_any(big)
-        others = sum((int(t) - 1) * c.size for t, c in norm.entries
-                     if t != big)
-        return Exists(add(mul(omega_pow(g), from_int(others + m)), ONE))
-    if case is CasePath.C3:
-        lower = max(OMEGA2, kappa.successor().as_ordinal())
-        return Independent(zfc_lower=lower)
-    if case is CasePath.C4:
-        return Exists(max(OMEGA1, kappa.successor().as_ordinal()))
-    if case is CasePath.C5:
-        return Exists(kappa.successor().as_ordinal())
-    if case is CasePath.C6a:
-        return Exists(from_int(sum(int(t) - 1 for t in flat) + 1))
-    if case is CasePath.C6b:
-        return Exists(p_top_case6_power(flat))
-    return Exists(p_top_case6_multiples(decs, s))
 
 
 def relation_holds(beta: Ordinal, inst: Instance) -> RelationVerdict:

@@ -15,7 +15,7 @@ here and cannot be produced by the exported operations.
 from __future__ import annotations
 
 from functools import cmp_to_key
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 
 class Underflow(ArithmeticError):
@@ -417,37 +417,38 @@ def is_order_reinforcing(x: Ordinal) -> bool:
 
 def mr_sum(targets: Sequence[Union[Ordinal, int]]) -> Ordinal:
     """Milner-Rado sum of non-zero ordinals: the least value that is not a
-    natural sum of strictly smaller summands, one below each target.
+    natural sum of strictly smaller summands, one below each target."""
+    return mr_sum_counted([(t, 1) for t in targets])
+
+
+def mr_sum_counted(entries: Sequence[Tuple[Union[Ordinal, int], int]]
+                   ) -> Ordinal:
+    """mr_sum of count >= 1 copies of each (target, count) entry's target.
 
     Computed by the closed formula: write all targets over the merged
     descending exponent list g_1 > ... > g_N with coefficients m_ij, let
     n_i be the last position where row i is non-zero, n = min n_i,
     s_j the column sums, and t the number of rows ending exactly at n;
     the value is w^g_1*s_1 + ... + w^g_(n-1)*s_(n-1) + w^g_n*(s_n - t + 1).
+    An entry is its row taken count times, in the s_j and in t.
     """
-    rows = [_coerce(t) for t in targets]
+    rows = [(_coerce(t), c) for t, c in entries]
     if not rows:
         raise ZeroInput("at least one target is required")
-    if any(r.is_zero() for r in rows):
+    if any(r.is_zero() for r, _ in rows):
         raise ZeroInput("targets must be non-zero")
-    exps: dict = {}
-    for r in rows:
-        for e, _ in r.monomials:
-            exps[e] = None
+    exps = dict.fromkeys(e for r, _ in rows for e, _ in r.monomials)
     order = sorted(exps, key=cmp_to_key(exp_compare), reverse=True)
     pos = {e: j for j, e in enumerate(order)}
-    last = []
-    for r in rows:
-        last.append(max(pos[e] for e, _ in r.monomials))
+    last = [max(pos[e] for e, _ in r.monomials) for r, _ in rows]
     n = min(last)
-    t = sum(1 for x in last if x == n)
-    out = []
-    for j in range(n + 1):
-        s = sum(c for r in rows for e, c in r.monomials if pos[e] == j)
-        if j == n:
-            s = s - t + 1
-        out.append((order[j], s))
-    return _make(out)
+    t = sum(c for x, (_, c) in zip(last, rows) if x == n)
+    sums = [0] * len(order)
+    for r, c in rows:
+        for e, k in r.monomials:
+            sums[pos[e]] += k * c
+    sums[n] -= t - 1
+    return _make(zip(order[:n + 1], sums))
 
 
 def p_ord(targets: Sequence[Union[Ordinal, int]]) -> Ordinal:

@@ -237,18 +237,22 @@ class NatsumSplitter:
             return j < n and share(j, 0, monos[j][1], below, below)
 
         def share(j, i, left, below, nbelow):
-            # part i takes p of the left coefficient, the last part all of it
+            # part i takes p of the left coefficient, the last part all of
+            # it; at the last position a part not yet below its bound must
+            # get below here, unless skipped[n] already puts it below
             bit = 1 << i
-            cap = left if below & bit else coeffs[j][i]
+            cap = top = left if below & bit else coeffs[j][i]
+            if j == n - 1 and not (below | skipped[n]) & bit:
+                top = cap - 1
             if i == last:
-                if left > cap:
+                if left > top:
                     return False
                 shares.append(left)
                 if place(j + 1, nbelow | bit if left < cap else nbelow):
                     return True
                 shares.pop()
                 return False
-            for p in range(min(left, cap), -1, -1):
+            for p in range(min(left, top), -1, -1):
                 shares.append(p)
                 if share(j, i + 1, left - p, below,
                          nbelow | bit if p < cap else nbelow):
@@ -343,11 +347,28 @@ def eval_colouring(col: RankColouring, x) -> int:
 
 _RANK_CASES = (CasePath.C6a, CasePath.C6b, CasePath.C6cI, CasePath.C6cII)
 
+# The most colours build_counterexample colours for.  A witness lists a
+# target, rank classes and a certificate per colour, and the natural-sum
+# search behind it recurses once per colour and position, so counts are
+# expanded to colours only up to this bound; above it the build is
+# OutOfScope.
+MAX_COLOURS = 256
+
+
+def _by_colour(norm: NormalizedInstance, per_entry=None) -> list:
+    # one value per entry (by default its target) for each of the entry's
+    # colours: an entry of count c takes the next c colours
+    out: list = []
+    for i, (t, c) in enumerate(norm.entries):
+        out += [t if per_entry is None else per_entry[i]] * c.size
+    return out
+
 
 def build_counterexample(beta, norm: NormalizedInstance):
     """A colouring of [0, beta) defeating every target, with one
     certificate per colour.  Supported for the countable finite-colour
-    cases and for the two-target provably-no-value case."""
+    cases with at most MAX_COLOURS colours and for the two-target
+    provably-no-value case."""
     beta = _coerce(beta)
     facts = classify(norm)
     if facts.case is CasePath.C1:
@@ -357,17 +378,21 @@ def build_counterexample(beta, norm: NormalizedInstance):
                          f"{facts.case.value}")
     if beta >= facts.result.value:
         raise NotBelowThreshold(f"{beta} already satisfies the relation")
+    if norm.kappa.size > MAX_COLOURS:
+        raise OutOfScope(f"witnesses are built for at most {MAX_COLOURS} "
+                         f"colours, not {norm.kappa.size}")
+    flat = _by_colour(norm)
     if beta.is_zero():
-        return _build_empty(beta, facts.flat)
+        return _build_empty(beta, flat)
     if beta.is_finite():
-        return _build_finite(beta, facts.flat)
-    return _build_infinite(beta, facts)
+        return _build_finite(beta, flat)
+    return _build_infinite(beta, facts, flat)
 
 
 def _build_cofinality(beta, norm):
     if not norm.kappa.is_finite() or norm.kappa.size != 2:
         raise OutOfScope("cofinality witnesses need exactly two targets")
-    flat = norm.flat_targets()
+    flat = _by_colour(norm)
     if not flat[0] > OMEGA1:
         raise OutOfScope("cofinality witnesses put the target above w_1 first")
     col = RankColouring(beta, ColouringMode.COFINALITY, ((), ()), (), None)
@@ -420,9 +445,8 @@ def _exception_certs(flat, levels, tops):
     return certs
 
 
-def _build_infinite(beta, facts):
-    flat = facts.flat
-    k = len(flat)
+def _build_infinite(beta, facts, flat):
+    norm, k = facts.normalized, len(flat)
     g, m, tail = leading_decomposition(beta)
     top_count = m if not tail.is_zero() else m - 1
 
@@ -437,7 +461,7 @@ def _build_infinite(beta, facts):
                             tops, None)
         return col, _exception_certs(flat, levels, tops)
 
-    decs = facts.decompositions
+    decs = _by_colour(norm, facts.decompositions)
     levels = natsum_expressible(g, [add(b, ONE) for b, _, _ in decs])
     assert levels is not None, "g at most the natural sum of ranks splits"
     caps = [None if lvl < b else mi - 1
@@ -464,7 +488,8 @@ def _build_infinite(beta, facts):
     # distinguished exact-multiple situation, where the class holding all
     # of them is defeated by residual counting instead.
     assert facts.case is CasePath.C6cI and not tail.is_zero()
-    s = facts.distinguished
+    # the distinguished entry's first colour
+    s = sum(c.size for _, c in norm.entries[:facts.distinguished])
     parts = [b for b, _, _ in decs]
     classes = [list(ivs) for ivs in natsum_split(g, parts, final_part=s)]
 
@@ -516,13 +541,11 @@ def verify_certificates(col: RankColouring, norm: NormalizedInstance,
     """Recompute every quantity a certificate relies on and compare
     exactly.  Any single altered field changes some recomputed value or
     violates well-formedness, so the verdict flips."""
-    try:
-        flat = norm.flat_targets()
-    except ValueError:
+    # compare the colour count before listing a target per colour
+    if not norm.kappa.is_finite() or col.colours != norm.kappa.size:
         return False
+    flat = _by_colour(norm)
     k = len(flat)
-    if col.colours != k:
-        return False
     by_colour = {}
     for cert in certs:
         if not isinstance(cert.colour, int) or cert.colour in by_colour:

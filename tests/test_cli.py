@@ -158,6 +158,14 @@ def test_verify_error_paths(tmp_path, capsys):
     wrong.write_text(json.dumps({"result": {"domain": [1]}}))
     assert run(["verify", str(wrong)]) == 2
     capsys.readouterr()
+    # an instance whose colour count differs from the colouring's, compared
+    # before a target is listed per colour
+    assert run(["witness", "w^2", "w^2+1", "3", "--json"]) == 0
+    env = json.loads(capsys.readouterr().out)
+    env["result"]["instance"][1] = "3:10000000000"
+    wrong.write_text(json.dumps(env))
+    assert run(["verify", str(wrong)]) == 1
+    assert lines_of(capsys) == ["witness rejected"]
     # deeper than the JSON decoder's recursion: a usage error, not exit 1
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000)
@@ -182,7 +190,7 @@ def test_usage_errors(capsys):
 
 
 def test_huge_counts_outside_c6_answer_at_once(capsys):
-    # only the C6 leaves list the targets one by one
+    # every leaf reads a count as a number; the C6 leaves are tested below
     assert run(["ptop", "w_1+1", "2:10000000000"]) == 0
     assert lines_of(capsys)[:2] == ["w_1*10000000001+1", "case C2cII"]
     assert run(["case", "w_1:2", "3:10000000000"]) == 0
@@ -190,6 +198,22 @@ def test_huge_counts_outside_c6_answer_at_once(capsys):
     assert run(["witness", "w+5", "w_1+1", "2:10000000000"]) == 2
     assert capsys.readouterr().err == \
         "error: no finite certificate language for case C2cII\n"
+
+
+def test_huge_counts_in_c6_answer_at_once(capsys):
+    for argv, expected in [
+            (["w^2+1", "3:10000000000"], ["w^2*20000000001+1", "case C6cII"]),
+            (["5", "3:10000000000"], ["20000000005", "case C6a"]),
+            (["w+1", "w^2", "3:10000000000"], ["w^3", "case C6b"]),
+            (["w*2:10000000000"], ["w^10000000000*2", "case C6cI"])]:
+        assert run(["ptop", *argv]) == 0
+        assert lines_of(capsys)[:2] == expected
+    # a witness lists every colour, so its build stops at a colour bound
+    for count in ("256", "10000000000"):
+        assert run(["witness", "w^2", "w^2+1", f"3:{count}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "at most 256 colours" in err
 
 
 def test_overdeep_nesting_is_a_usage_error(capsys):

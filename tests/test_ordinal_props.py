@@ -20,6 +20,7 @@ from ordpigeon.ordinal import (
     initial_ordinal,
     left_subtract,
     mr_sum,
+    mr_sum_counted,
     mul,
     natural_sum,
     omega_pow,
@@ -189,3 +190,10 @@ def test_mr_sum_monotone(targets, bump):
 @given(positive)
 def test_mr_sum_singleton_identity(a):
     assert mr_sum([a]) == a
+
+
+@given(st.lists(st.tuples(positive, st.integers(1, 4)), min_size=1,
+                max_size=4))
+def test_mr_sum_counted_is_mr_sum_of_the_copies(entries):
+    copies = [t for t, c in entries for _ in range(c)]
+    assert mr_sum_counted(entries) == mr_sum(copies)

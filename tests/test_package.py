@@ -114,7 +114,7 @@ def test_keywords_and_defaults():
                        equiconsistency=full.equiconsistency) == full
     a = Analysis(CasePath.C1, (), Infinite(), None)
     assert a == Analysis(case=CasePath.C1, trail=(), result=Infinite(),
-                         normalized=None, flat=None, decompositions=None,
+                         normalized=None, decompositions=None,
                          distinguished=None)
     assert OrdinalExpression(source="w", value=w, noncanonical=False) == \
         parse_expression("w")
@@ -133,13 +133,13 @@ def test_reprs_match_the_dataclass_ones():
         "Analysis(case=<CasePath.C3: 'C3'>, trail=('no target exceeds w_1',"
         " 'at least two copies of w_1 among the targets'), "
         "result=Independent(zfc_lower=w_2), normalized=NormalizedInstance("
-        "entries=((w_1, 2),), kappa=2), flat=None, decompositions=None, "
+        "entries=((w_1, 2),), kappa=2), decompositions=None, "
         "distinguished=None)")
     assert repr(analyze(Instance.of((w, 2)))) == (
         "Analysis(case=<CasePath.C6b: 'C6b'>, trail=('no target exceeds w_1',"
         " 'every target is countable', 'finitely many colours', "
         "'some target is a power of w'), result=Exists(w), normalized="
-        "NormalizedInstance(entries=((w, 2),), kappa=2), flat=(w, w), "
+        "NormalizedInstance(entries=((w, 2),), kappa=2), "
         "decompositions=None, distinguished=None)")
     # classes with their own __repr__ keep it
     assert [repr(x) for x in (Cardinal.finite(3), Cardinal.aleph(w),

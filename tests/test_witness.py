@@ -1,12 +1,24 @@
 """Colouring construction, evaluation, and certificate checking."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordpigeon.engine import Instance, NormalizedInstance, normalize, p_top, Exists
+from ordpigeon import witness
+from ordpigeon.engine import (
+    Exists,
+    Instance,
+    NormalizedInstance,
+    analyze,
+    normalize,
+    p_top,
+)
 from ordpigeon.ordinal import (
     Atom,
     OMEGA,
@@ -23,6 +35,7 @@ from ordpigeon.ordinal import (
     omega_pow,
 )
 from ordpigeon.oracle import mr_sum_bruteforce_check
+from ordpigeon.selftest import _maximal_failing
 from ordpigeon.witness import (
     CertKind,
     ColouringMode,
@@ -518,3 +531,67 @@ def test_build_succeeds_just_below_and_refuses_at_the_value(entries, value,
     assert verify_certificates(col, norm, certs)
     with pytest.raises(NotBelowThreshold):
         build_counterexample(value, norm)
+
+
+# -- counts against their copies --------------------------------------------------
+
+
+# C6 targets: finite, powers of w, exact multiples w^g*(m+1) and the
+# inexact w^g*m + r with 0 < r < w^g
+c6_targets = st.one_of(
+    st.integers(2, 5).map(from_int),
+    st.sampled_from([w, wp(2), wp(w)]),
+    st.tuples(st.sampled_from([ONE, from_int(2), w]), st.integers(2, 4)).map(
+        lambda p: wp(p[0]) * p[1]),
+    st.tuples(st.sampled_from([(ONE, ONE), (from_int(2), ONE),
+                               (from_int(2), w)]), st.integers(1, 3)).map(
+        lambda p: wp(p[0][0]) * p[1] + p[0][1]))
+
+
+def outcome(beta, norm):
+    try:
+        return build_counterexample(beta, norm)
+    except OutOfScope as exc:
+        return str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(c6_targets, st.integers(1, 4)), min_size=1,
+                max_size=3))
+def test_counts_answer_as_their_copies(entries):
+    counted = analyze(Instance.of(*entries))
+    copies = analyze(Instance.of(*(t for t, c in entries for _ in range(c))))
+    assert (counted.case, counted.result) == (copies.case, copies.result)
+    value = counted.result.value
+    if counted.case.value == "C6b":
+        # a power of w has no maximal failing ordinal
+        beta = next(b for b in (wp(2) * 2 + 1, w * 2 + 1, from_int(5))
+                    if b < value)
+    else:
+        beta = _maximal_failing(value)
+    # the same colouring and certificates, the distinguished entry's
+    # first colour included
+    assert outcome(beta, counted.normalized) == \
+        outcome(beta, copies.normalized)
+
+
+def test_witnesses_stop_at_the_colour_bound():
+    bound = witness.MAX_COLOURS
+    norm, col, certs = built(wp(2), add(wp(2), 1), (3, bound - 1))
+    assert col.colours == bound
+    assert verify_certificates(col, norm, certs)
+    for count in (bound, 10 ** 10):
+        with pytest.raises(OutOfScope, match=f"at most {bound} colours"):
+            built(wp(2), add(wp(2), 1), (3, count))
+
+
+def test_many_equal_bounds_split_at_once():
+    # each part below w+1 must take less than w at the last position; a
+    # search that offers it all of w there grows about threefold per colour
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(witness.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "ordpigeon.cli", "witness", "w^40", "w+1:40"],
+        env=env, capture_output=True, text=True, timeout=20)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("domain w^40, mode rank, 40 colours")
