@@ -261,7 +261,10 @@ def classify(norm: NormalizedInstance) -> Analysis:
 def _case_tree(norm: NormalizedInstance, trail: List[str]) -> tuple:
     # (case, result), plus (decompositions, distinguished) in C6c
     kappa = norm.kappa
-    big = next((t for t, _ in norm.entries if t > OMEGA1), None)
+    # countable targets are below w_1, so they settle both w_1 tests
+    countable = all(t.is_countable() for t, _ in norm.entries)
+    big = None if countable else next(
+        (t for t, _ in norm.entries if t > OMEGA1), None)
 
     if big is not None:
         trail.append("some target exceeds w_1")
@@ -320,7 +323,7 @@ def _case_tree(norm: NormalizedInstance, trail: List[str]) -> tuple:
             add(mul(omega_pow(g), from_int(others + m)), ONE))
 
     trail.append("no target exceeds w_1")
-    at_w1 = _copies(norm, OMEGA1)
+    at_w1 = 0 if countable else _copies(norm, OMEGA1)
     if at_w1 >= 2:
         trail.append("at least two copies of w_1 among the targets")
         return CasePath.C3, Independent(

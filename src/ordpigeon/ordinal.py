@@ -10,6 +10,10 @@ is structural.  w_0 is plain omega and never stored as an atom.
 The representable class is everything generated from 0 by such sums and
 atoms.  Epsilon numbers other than the w_nu themselves have no notation
 here and cannot be produced by the exported operations.
+
+Countability is read off the chain of leading exponents: the exponents
+of a normal form decrease and an atom exceeds every countable exponent,
+so a value is below w_1 exactly when that chain ends at 0, not an atom.
 """
 
 from __future__ import annotations
@@ -59,13 +63,12 @@ Exponent = Union["Ordinal", Atom]
 class Ordinal:
     """An ordinal in Cantor normal form.  Immutable; compare with <, ==, etc."""
 
-    # _hash and _countable are computed on first use and kept with the node
-    __slots__ = ("monomials", "_hash", "_countable")
+    # _hash is computed on first use and kept with the node
+    __slots__ = ("monomials", "_hash")
 
     def __init__(self, monomials: tuple = ()):
         _set_monomials(self, monomials)
         _set_hash(self, None)
-        _set_countable(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Ordinal is immutable")
@@ -92,13 +95,15 @@ class Ordinal:
         return bool(ms) and not _exp_is_zero(ms[-1][0])
 
     def is_countable(self) -> bool:
-        """True when the value is below w_1, i.e. its notation is atom-free."""
-        c = self._countable
-        if c is None:
-            c = all(isinstance(e, Ordinal) and e.is_countable()
-                    for e, _ in self.monomials)
-            _set_countable(self, c)
-        return c
+        """True when the value is below w_1.  The exponents decrease and an
+        atom exceeds every countable exponent, so the chain of leading
+        exponents decides: it ends at 0 when countable, else at an atom."""
+        x = self
+        while x.monomials:
+            x = x.monomials[0][0]
+            if type(x) is Atom:
+                return False
+        return True
 
     def leading_exponent(self) -> Exponent:
         if not self.monomials:
@@ -162,7 +167,6 @@ class Ordinal:
 # the slots' own writers, which skip the immutability guard in __setattr__
 _set_monomials = Ordinal.monomials.__set__
 _set_hash = Ordinal._hash.__set__
-_set_countable = Ordinal._countable.__set__
 
 ZERO = Ordinal()
 ONE = Ordinal(((ZERO, 1),))
@@ -184,7 +188,7 @@ def _coerce(x) -> Ordinal:
 
 
 def _exp_is_zero(e: Exponent) -> bool:
-    return isinstance(e, Ordinal) and e.is_zero()
+    return type(e) is Ordinal and not e.monomials
 
 
 def exponent_ordinal(e: Exponent) -> Ordinal:
@@ -212,7 +216,8 @@ def compare(a: Ordinal, b: Ordinal) -> int:
     ma, mb = a.monomials, b.monomials
     for (ea, ca), (eb, cb) in zip(ma, mb):
         if ea is not eb:
-            k = exp_compare(ea, eb)
+            k = (compare(ea, eb) if type(ea) is Ordinal and type(eb) is Ordinal
+                 else exp_compare(ea, eb))
             if k:
                 return k
         if ca != cb:

@@ -322,6 +322,8 @@ def _maximal_failing(value: Ordinal) -> Ordinal:
     if value.is_successor():
         return _predecessor(value)
     ms = value.monomials
+    if ms[0][1] == 1:
+        raise ValueError(f"{value} has no largest failing point")
     return add(Ordinal(((ms[0][0], ms[0][1] - 1),)), 1)
 
 

@@ -195,13 +195,15 @@ class NatsumSplitter:
 
     def _merge(self, monos):
         # bit i of skipped[j] says bound i has a monomial above e_j (last
-        # entry: anywhere) that delta lacks; coeffs[j][i] is bound i's
-        # coefficient at e_j
+        # entry: anywhere) that delta lacks; room[j][i] is the most that
+        # parts i.. can take at e_j while none of them is below its bound:
+        # their bounds' coefficients at e_j, at the last position less one
+        # for each part that must get below there
         k = len(self.bounds)
         skipped = [0] * (len(monos) + 1)
-        coeffs = [[0] * k for _ in monos]
-        for i, b in enumerate(self.bounds):
-            bm, ptr, gap = b.monomials, 0, 0
+        room = [[0] * (k + 1) for _ in monos]
+        for i in range(k - 1, -1, -1):  # last bound first, for room's sums
+            bm, ptr, gap = self.bounds[i].monomials, 0, 0
             for j, (e, _) in enumerate(monos):
                 while ptr < len(bm):
                     order = exp_compare(bm[ptr][0], e)
@@ -209,12 +211,15 @@ class NatsumSplitter:
                         break
                     ptr += 1
                     if order == 0:
-                        coeffs[j][i] = bm[ptr - 1][1]
+                        room[j][i] = bm[ptr - 1][1]
                         break
                     gap = 1 << i
                 skipped[j] |= gap
+                room[j][i] += room[j][i + 1]
             skipped[-1] |= 1 << i if ptr < len(bm) else gap
-        return monos, skipped, coeffs
+            if monos and not skipped[-1] >> i & 1:
+                room[-1][i] -= 1
+        return monos, skipped, room
 
     def _search(self, monos) -> Optional[List[int]]:
         """The parts' shares of each coefficient, k per position, until
@@ -224,7 +229,7 @@ class NatsumSplitter:
         table = self._tables.get(key)
         if table is None:
             table = self._tables[key] = self._merge(monos)
-        _, skipped, coeffs = table
+        _, skipped, room = table
         n, last = len(monos), len(self.bounds) - 1
         every = (2 << last) - 1
         shares: List[int] = []
@@ -239,11 +244,14 @@ class NatsumSplitter:
         def share(j, i, left, below, nbelow):
             # part i takes p of the left coefficient, the last part all of
             # it; at the last position a part not yet below its bound must
-            # get below here, unless skipped[n] already puts it below
+            # get below here, unless skipped[n] already puts it below, so
+            # its room there is one less than its bound's coefficient
+            if not below >> i and left > room[j][i]:
+                return False
             bit = 1 << i
-            cap = top = left if below & bit else coeffs[j][i]
+            cap = top = left if below & bit else room[j][i] - room[j][i + 1]
             if j == n - 1 and not (below | skipped[n]) & bit:
-                top = cap - 1
+                cap = top + 1
             if i == last:
                 if left > top:
                     return False
@@ -298,9 +306,7 @@ def natsum_split(eta, parts, final_part: Optional[int] = None) -> List[IntervalU
         raise PreconditionViolated("parts must have natural sum eta")
     if final_part is not None and not 0 <= final_part < len(parts):
         raise PreconditionViolated("final_part out of range")
-    coeffs: List[Dict] = []
-    for p in parts:
-        coeffs.append({e: c for e, c in p.monomials})
+    coeffs = [dict(p.monomials) for p in parts]
     pieces: List[List[Interval]] = [[] for _ in parts]
     cursor = ZERO
     blocks = eta.monomials
@@ -420,22 +426,14 @@ def _build_finite(beta, flat):
     assert len(assignment) == n, "failing relation guarantees enough room"
     col = RankColouring(beta, ColouringMode.RANK, ((),) * len(flat),
                         tuple(assignment[1:]), assignment[0])
-    certs = []
-    for i, t in enumerate(flat):
-        count = assignment.count(i)
-        if count:
-            certs.append(ObstructionCertificate(
-                i, CertKind.DERIVATIVE_SMALL, t, level=ZERO, bound=count))
-        else:
-            certs.append(ObstructionCertificate(
-                i, CertKind.DERIVATIVE_EMPTY, t, level=ZERO))
-    return col, certs
+    # every point has rank 0, the point 0 among them
+    return col, _exception_certs(flat, [ZERO] * len(flat), assignment)
 
 
-def _exception_certs(flat, levels, tops):
+def _exception_certs(flat, levels, exceptions):
     certs = []
     for i, t in enumerate(flat):
-        count = sum(1 for c in tops if c == i)
+        count = exceptions.count(i)
         if count:
             certs.append(ObstructionCertificate(
                 i, CertKind.DERIVATIVE_SMALL, t, level=levels[i], bound=count))
@@ -509,15 +507,11 @@ def _build_infinite(beta, facts, flat):
     tops = (s,) * top_count
     col = RankColouring(beta, ColouringMode.RANK,
                         tuple(tuple(ivs) for ivs in classes), tops, None)
-    certs = []
-    for i, t in enumerate(flat):
-        if i == s:
-            certs.append(ObstructionCertificate(
-                i, CertKind.DERIVATIVE_NOT_EMBEDDABLE, t, level=level,
-                class_residual=class_res, target_residual=target_res))
-        else:
-            certs.append(ObstructionCertificate(
-                i, CertKind.DERIVATIVE_EMPTY, t, level=parts[i]))
+    certs = [ObstructionCertificate(i, CertKind.DERIVATIVE_EMPTY, t,
+                                    level=parts[i]) for i, t in enumerate(flat)]
+    certs[s] = ObstructionCertificate(
+        s, CertKind.DERIVATIVE_NOT_EMBEDDABLE, flat[s], level=level,
+        class_residual=class_res, target_residual=target_res)
     return col, certs
 
 
@@ -557,9 +551,8 @@ def verify_certificates(col: RankColouring, norm: NormalizedInstance,
         return False
 
     if col.mode is ColouringMode.COFINALITY:
-        if k != 2 or any(col.rank_classes) or col.top_point_colours:
-            return False
-        if col.zero_colour is not None:
+        if (k != 2 or any(col.rank_classes) or col.top_point_colours
+                or col.zero_colour is not None):
             return False
         for cert in by_colour.values():
             if cert.kind is not CertKind.COFINALITY_SPLIT:
@@ -588,11 +581,8 @@ def verify_certificates(col: RankColouring, norm: NormalizedInstance,
     if col.zero_colour is not None and not 0 <= col.zero_colour < k:
         return False
 
-    labelled = []
-    for i, ivs in enumerate(col.rank_classes):
-        for lo, hi in ivs:
-            labelled.append((lo, hi))
-    labelled.sort(key=cmp_to_key(lambda u, v: compare(u[0], v[0])))
+    labelled = sorted((iv for ivs in col.rank_classes for iv in ivs),
+                      key=cmp_to_key(lambda u, v: compare(u[0], v[0])))
     cursor = ZERO
     for lo, hi in labelled:
         if lo != cursor or hi <= lo:
@@ -605,9 +595,8 @@ def verify_certificates(col: RankColouring, norm: NormalizedInstance,
         cert = by_colour[i]
         target = flat[i]
         ivs = col.rank_classes[i]
-        for (a, b), (c, d) in zip(ivs, ivs[1:]):
-            if c < b:
-                return False
+        if any(c < b for (_, b), (c, _) in zip(ivs, ivs[1:])):
+            return False
         top_hits = sum(1 for c in col.top_point_colours if c == i)
         exceptions = top_hits + (1 if col.zero_colour == i else 0)
 

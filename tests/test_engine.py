@@ -334,6 +334,16 @@ def test_leaf_templates_reach_their_leaves():
     assert set(LEAF_TEMPLATES) == set(CasePath)
 
 
+def test_entry_order_does_not_change_the_leaf():
+    # the engine settles countability per entry before it looks for
+    # targets above w_1 or equal to it, in whatever order they come
+    for entries in LEAF_TEMPLATES.values():
+        forward = analyze(Instance.of(*entries))
+        backward = analyze(Instance.of(*reversed(entries)))
+        assert (backward.case, backward.result) == \
+            (forward.case, forward.result)
+
+
 def test_an_instance_object_walks_the_case_tree_once(monkeypatch):
     walks = []
     walk = engine._case_tree

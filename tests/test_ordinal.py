@@ -275,6 +275,16 @@ def test_structure_predicates():
     assert not (wp(2) * 3 + wp(as_exponent(w1 + w))).is_countable()
 
 
+def test_a_deep_tower_answers_is_countable_without_recursion():
+    # is_countable walks the leading exponents in a loop; w^(w_1) is w_1
+    # itself, so the uncountable tower is built on w_1 + 1
+    for base, countable in ((from_int(2), True), (w1 + 1, False)):
+        x = base
+        for _ in range(1500):
+            x = omega_pow(x)
+        assert x.is_countable() is countable
+
+
 def test_leading_decomposition():
     g, m, rest = leading_decomposition(wp(2) * 3 + w + 4)
     assert (g, m, rest) == (from_int(2), 3, w + 4)

@@ -7,6 +7,7 @@ from hypothesis import given
 
 from ordpigeon.ordinal import (
     Atom,
+    OMEGA1,
     ONE,
     Ordinal,
     ZERO,
@@ -93,6 +94,14 @@ def test_cached_facts_agree_with_the_notation(a):
             assert x.is_countable() == copy.is_countable()
             assert compare(copy, x) == 0 and compare(x, copy) == 0
             assert copy == x and hash(copy) == hash(x)
+
+
+@given(wild)
+def test_countable_exactly_below_w1(a):
+    # the engine reads "below w_1" off is_countable, which looks only at
+    # the chain of leading exponents
+    for x in (a, omega_pow(a), omega_pow(omega_pow(a))):
+        assert x.is_countable() == (x < OMEGA1)
 
 
 @given(wild, wild, st.integers(1, 3))

@@ -100,6 +100,23 @@ def test_natsum_expressible_edges():
     assert NatsumSplitter([2, add(w, 1)]).bounds == [from_int(2), add(w, 1)]
 
 
+def test_unsplittable_deltas_fail_at_once():
+    # 26 parts below 2 hold at most 26; a search that tries every share
+    # vector before it sees this doubles its time per bound, and one that
+    # lets each part hold 2 still grows about 1.4-fold per bound.  Below
+    # w+2 the 40 parts must each take one w, and then cannot hold 41.
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(witness.__file__).resolve().parents[1])}
+    code = ("from ordpigeon.ordinal import OMEGA as w\n"
+            "from ordpigeon.witness import natsum_expressible\n"
+            "assert natsum_expressible(27, [2] * 26) is None\n"
+            "assert natsum_expressible(81, [2] * 80) is None\n"
+            "assert natsum_expressible(w * 40 + 41, [w + 2] * 40) is None\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=20)
+    assert done.returncode == 0, done.stderr
+
+
 def test_natsum_expressible_takes_the_largest_first_part():
     got = natsum_expressible(mul(w, 2), [mul(w, 3), add(w, 1)])
     assert got == [mul(w, 2), ZERO]
@@ -573,6 +590,12 @@ def test_counts_answer_as_their_copies(entries):
     # first colour included
     assert outcome(beta, counted.normalized) == \
         outcome(beta, copies.normalized)
+
+
+@pytest.mark.parametrize("value", [wp(3), wp(w)])
+def test_a_power_of_w_has_no_maximal_failing_ordinal(value):
+    with pytest.raises(ValueError, match="no largest failing point"):
+        _maximal_failing(value)
 
 
 def test_witnesses_stop_at_the_colour_bound():
