@@ -3,9 +3,12 @@
 
 Draws seeded random bound lists and checks each closed-form sum with
 mr_sum_bruteforce_check (exact non-expressibility plus sampled
-expressibility below).  With --full it also recomputes tiny cases by
-scanning the candidate lattice from below, which is slow but assumes
-nothing about the answer.
+expressibility below).  Each list is also audited as counted entries:
+a second seeded generator gives every bound a count of 1-3, and
+mr_sum_counted must equal mr_sum of the copies and pass the same check
+against them.  With --full it also recomputes tiny cases by scanning
+the candidate lattice from below, which is slow but assumes nothing
+about the answer.
 """
 
 import argparse
@@ -15,6 +18,7 @@ import time
 
 from ordpigeon import add, from_int, mr_sum, mul, omega_pow
 from ordpigeon.oracle import bruteforce_mr_sum, mr_sum_bruteforce_check
+from ordpigeon.ordinal import mr_sum_counted
 from ordpigeon.parser import format_ordinal
 
 
@@ -43,17 +47,29 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     rng = random.Random(args.seed)
+    # counts come from their own generator, so the bound lists do not move
+    count_rng = random.Random(f"counts {args.seed}")
     failures = 0
     started = time.monotonic()
     for i in range(args.count):
         tiny = args.full and i % 10 == 0
         bounds = [random_bound(rng, tiny) for _ in range(rng.randint(2, 3))]
+        counts = [count_rng.randint(1, 3) for _ in bounds]
         value = mr_sum(bounds)
         shown = ", ".join(format_ordinal(b, "ascii") for b in bounds)
         if not mr_sum_bruteforce_check(bounds, value, args.samples):
             print(f"REJECTED mr({shown}) = {format_ordinal(value, 'ascii')}")
             failures += 1
             continue
+        copies = [b for b, c in zip(bounds, counts) for _ in range(c)]
+        counted = mr_sum_counted(list(zip(bounds, counts)))
+        if counted != mr_sum(copies) or \
+                not mr_sum_bruteforce_check(copies, counted, args.samples):
+            entries = ", ".join(f"{format_ordinal(b, 'ascii')}:{c}"
+                                for b, c in zip(bounds, counts))
+            print(f"REJECTED counted mr({entries}) = "
+                  f"{format_ordinal(counted, 'ascii')}")
+            failures += 1
         if tiny:
             rescanned = bruteforce_mr_sum(bounds)
             if rescanned != value:

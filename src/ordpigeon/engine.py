@@ -39,7 +39,6 @@ from .ordinal import (
     exponent_ordinal,
     from_int,
     is_power_of_omega,
-    leading_decomposition,
     mr_sum_counted,
     mul,
     natural_sum,
@@ -314,13 +313,13 @@ def _case_tree(norm: NormalizedInstance, trail: List[str]) -> tuple:
         trail.append("the large target is not a power of w and there are "
                      "other targets")
         # w^g*m + 1 <= big <= w^g*(m+1); big is not w^g, so m >= 2 at rest 0
-        g, m, rest = leading_decomposition(big)
-        if rest.is_zero():
+        g, m = big.monomials[0]
+        if len(big.monomials) == 1:
             m -= 1
         others = sum((int(t) - 1) * c.size for t, c in norm.entries
                      if t != big)
-        return CasePath.C2cII, Exists(
-            add(mul(omega_pow(g), from_int(others + m)), ONE))
+        # the value as a normal form: g > 0 because big exceeds w_1
+        return CasePath.C2cII, Exists(Ordinal(((g, others + m), (ZERO, 1))))
 
     trail.append("no target exceeds w_1")
     at_w1 = 0 if countable else _copies(norm, OMEGA1)
@@ -362,20 +361,22 @@ def _case_tree(norm: NormalizedInstance, trail: List[str]) -> tuple:
               if exact and not any(ranks[s] > r for r in ranks)
               and all(m == 1 for i, (_, m, _) in enumerate(decs)
                       if i != s or counts[i] > 1)), None)
+    # the values as normal forms: gamma is countable, so it is its own
+    # exponent form, and gamma >= 1 because some target is infinite
     if s is not None:
         trail.append("an exact multiple of a power of w has minimal rank "
                      "and all other multiplicities are 1")
         return CasePath.C6cI, Exists(
-            mul(omega_pow(gamma), from_int(decs[s][1] + 1))), decs, s
+            Ordinal(((gamma, decs[s][1] + 1),))), decs, s
     trail.append("no exact-multiple target dominates")
     total = sum((m - 1) * c for (_, m, _), c in zip(decs, counts)) + 1
     return CasePath.C6cII, Exists(
-        add(mul(omega_pow(gamma), from_int(total)), ONE)), decs, None
+        Ordinal(((gamma, total), (ZERO, 1)))), decs, None
 
 
 def minimal_omega_power_bound(a: Ordinal) -> Ordinal:
     """The least g with a <= w^g, for a >= 1."""
-    a = a if isinstance(a, Ordinal) else from_int(a)
+    a = _coerce(a)
     if a.is_zero():
         raise ZeroInput("a must be at least 1")
     if a == ONE:
@@ -395,16 +396,16 @@ def case6_decompose(a: Ordinal) -> Split:
     w^g*m + 1 <= a < w^g*(m+1).  Finite a gives (0, a, False): every
     point has rank 0 and the exact form would need m+1 points.
     """
-    if a < from_int(2):
+    a = _coerce(a)
+    ms = a.monomials
+    if a.is_finite() and (not ms or ms[0][1] < 2):
         raise ValueError("a must be at least 2")
     if not a.is_countable():
         raise ValueError("a must be countable")
-    if is_power_of_omega(a):
+    g, m = ms[0]
+    if len(ms) == 1 and m == 1:
         raise PowerOfOmegaInput("powers of w have no such decomposition")
-    g, m, rest = leading_decomposition(a)
-    if a.is_finite():
-        return ZERO, int(a), False
-    if rest.is_zero():
+    if len(ms) == 1 and not g.is_zero():
         return g, m - 1, True
     return g, m, False
 

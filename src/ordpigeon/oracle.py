@@ -125,20 +125,23 @@ def enumerate_ordinals_below(bounds: EnumerationBounds) -> List[Ordinal]:
 # -- Milner-Rado sums by least-counterexample scan ------------------------------
 
 
-def _column_sums(bounds_list: Sequence[Ordinal]) -> List[tuple]:
+def _natural_sum_by_table(parts: Sequence[Ordinal]) -> Ordinal:
+    # coefficients gathered per exponent in a table and sorted, where the
+    # kernel's natural_sum merges
     sums: Dict = {}
-    for b in bounds_list:
-        for e, c in b.monomials:
+    for x in parts:
+        for e, c in x.monomials:
             eo = exponent_ordinal(e)
             sums[eo] = sums.get(eo, 0) + c
-    return sorted(sums.items(), key=cmp_to_key(lambda u, v: compare(u[0], v[0])),
-                  reverse=True)
+    return Ordinal(tuple(sorted(
+        sums.items(), key=cmp_to_key(lambda u, v: compare(u[0], v[0])),
+        reverse=True)))
 
 
 def _candidate_lattice(bounds_list: Sequence[Ordinal]) -> List[Ordinal]:
     # the least non-expressible ordinal only needs the bounds' exponents,
     # with coefficients at most the column sums
-    columns = _column_sums(bounds_list)
+    columns = _natural_sum_by_table(bounds_list).monomials
     return [Ordinal(tuple((e, c) for (e, _), c in zip(columns, coeffs) if c))
             for coeffs in product(*(range(s + 1) for _, s in columns))]
 
@@ -204,18 +207,6 @@ def mr_sum_bruteforce_check(bounds_list, candidate, sample_count: int) -> bool:
 # -- closed-formula cross-checks -------------------------------------------------
 
 
-def _merge_natural_sum(parts: Sequence[Ordinal]) -> Ordinal:
-    counts: Dict = {}
-    for x in parts:
-        for e, c in x.monomials:
-            eo = exponent_ordinal(e)
-            counts[eo] = counts.get(eo, 0) + c
-    monos = sorted(counts.items(),
-                   key=cmp_to_key(lambda u, v: compare(u[0], v[0])),
-                   reverse=True)
-    return Ordinal(tuple(monos))
-
-
 def _as_power(t: Ordinal) -> Optional[Ordinal]:
     if t.is_finite() or not is_power_of_omega(t):
         return None
@@ -249,7 +240,7 @@ def _family_values(flat: List[Ordinal]) -> List[Ordinal]:
     values = []
     succs = [_as_successor_power(t) for t in flat]
     if all(a is not None and not a.is_zero() for a in succs):
-        values.append(add(omega_pow(_merge_natural_sum(succs)), ONE))
+        values.append(add(omega_pow(_natural_sum_by_table(succs)), ONE))
     powers = [_as_power(t) for t in flat]
     if all(a is not None for a in powers):
         values.append(omega_pow(bruteforce_mr_sum(powers)))
@@ -261,7 +252,7 @@ def _family_values(flat: List[Ordinal]) -> List[Ordinal]:
         values.append(omega_pow(bruteforce_mr_sum(mixed)))
     multiples = [_as_simple_multiple(t) for t in flat]
     if all(d is not None for d in multiples):
-        alpha = _merge_natural_sum([a for a, _ in multiples])
+        alpha = _natural_sum_by_table([a for a, _ in multiples])
         m = sum(mi - 1 for _, mi in multiples) + 1
         values.append(_omega_bar(alpha, m))
     return values

@@ -14,11 +14,14 @@ here and cannot be produced by the exported operations.
 Countability is read off the chain of leading exponents: the exponents
 of a normal form decrease and an atom exceeds every countable exponent,
 so a value is below w_1 exactly when that chain ends at 0, not an atom.
+
+Exponent-wise sums (natural_sum, mr_sum_counted) merge the operands'
+monomial lists, already descending, by comparing exponents: nothing is
+hashed or re-sorted.
 """
 
 from __future__ import annotations
 
-from functools import cmp_to_key
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
 
@@ -252,10 +255,21 @@ def _atom_compare(a: Atom, x: Ordinal) -> int:
     return -1 if len(ms) > 1 else 0
 
 
-def _make(monomials: Iterable) -> Ordinal:
-    """Build from a descending monomial list, dropping zero coefficients."""
-    ms = tuple((e, c) for e, c in monomials if c)
-    return Ordinal(ms)
+def _merge(xs: Sequence, ys: Sequence) -> list:
+    """The exponent-wise sum of two descending monomial lists: a two-way
+    merge that adds the coefficients at equal exponents."""
+    out = []
+    i = j = 0
+    while i < len(xs) and j < len(ys):
+        (e, c), (f, d) = xs[i], ys[j]
+        k = (0 if e is f else compare(e, f)
+             if type(e) is Ordinal and type(f) is Ordinal else exp_compare(e, f))
+        out.append((e, c + d) if k == 0 else (e, c) if k > 0 else (f, d))
+        i += k >= 0
+        j += k <= 0
+    out += xs[i:]
+    out += ys[j:]
+    return out
 
 
 def add(a: Ordinal, b: Ordinal) -> Ordinal:
@@ -266,24 +280,13 @@ def add(a: Ordinal, b: Ordinal) -> Ordinal:
     if a.is_zero():
         return b
     f, d = b.monomials[0]
-    kept = []
-    merged = None
-    for e, c in a.monomials:
-        k = exp_compare(e, f)
-        if k > 0:
-            kept.append((e, c))
-        elif k == 0:
-            merged = c
-            break
-        else:
-            break
-    if merged is None:
-        return Ordinal(tuple(kept) + b.monomials)
-    return Ordinal(tuple(kept) + ((f, merged + d),) + b.monomials[1:])
-
-
-def exp_add(e: Exponent, f: Exponent) -> Exponent:
-    return as_exponent(add(exponent_ordinal(e), exponent_ordinal(f)))
+    ms = a.monomials
+    i = k = 0
+    while i < len(ms) and (k := exp_compare(ms[i][0], f)) > 0:
+        i += 1
+    if i < len(ms) and k == 0:
+        return Ordinal(ms[:i] + ((f, ms[i][1] + d),) + b.monomials[1:])
+    return Ordinal(ms[:i] + b.monomials)
 
 
 def mul(a: Ordinal, b: Ordinal) -> Ordinal:
@@ -297,7 +300,8 @@ def mul(a: Ordinal, b: Ordinal) -> Ordinal:
         if _exp_is_zero(f):
             part = Ordinal(((e1, c1 * d),) + a.monomials[1:])
         else:
-            part = Ordinal(((exp_add(e1, f), d),))
+            e = add(exponent_ordinal(e1), exponent_ordinal(f))
+            part = Ordinal(((as_exponent(e), d),))
         out = add(out, part)
     return out
 
@@ -340,13 +344,12 @@ def left_subtract(a: Ordinal, b: Ordinal) -> Ordinal:
 
 
 def natural_sum(*terms: Union[Ordinal, int]) -> Ordinal:
-    """Hessenberg sum: coefficients are added exponent-wise."""
-    coeffs: dict = {}
+    """Hessenberg sum: coefficients are added exponent-wise.  The terms'
+    descending monomial lists are merged two at a time."""
+    ms: list = []
     for t in terms:
-        for e, c in _coerce(t).monomials:
-            coeffs[e] = coeffs.get(e, 0) + c
-    exps = sorted(coeffs, key=cmp_to_key(exp_compare), reverse=True)
-    return _make((e, coeffs[e]) for e in exps)
+        ms = _merge(ms, _coerce(t).monomials)
+    return Ordinal(tuple(m for m in ms if m[1]))
 
 
 def cb_rank(x: Ordinal) -> Ordinal:
@@ -401,10 +404,7 @@ def biembed_canonical(x: Ordinal) -> Ordinal:
     class, and everything strictly between w^g*m and w^g*(m+1) maps to
     w^g*m + 1."""
     x = _coerce(x)
-    if x.is_zero():
-        return x
-    g, m, rest = leading_decomposition(x)
-    if rest.is_zero():
+    if len(x.monomials) < 2:
         return x
     return add(Ordinal(x.monomials[:1]), ONE)
 
@@ -436,24 +436,32 @@ def mr_sum_counted(entries: Sequence[Tuple[Union[Ordinal, int], int]]
     s_j the column sums, and t the number of rows ending exactly at n;
     the value is w^g_1*s_1 + ... + w^g_(n-1)*s_(n-1) + w^g_n*(s_n - t + 1).
     An entry is its row taken count times, in the s_j and in t.
+    The s_j are merged as the natural sum of the rows, each scaled by its
+    count, and g_n is the largest last exponent among the rows.
     """
     rows = [(_coerce(t), c) for t, c in entries]
     if not rows:
         raise ZeroInput("at least one target is required")
     if any(r.is_zero() for r, _ in rows):
         raise ZeroInput("targets must be non-zero")
-    exps = dict.fromkeys(e for r, _ in rows for e, _ in r.monomials)
-    order = sorted(exps, key=cmp_to_key(exp_compare), reverse=True)
-    pos = {e: j for j, e in enumerate(order)}
-    last = [max(pos[e] for e, _ in r.monomials) for r, _ in rows]
-    n = min(last)
-    t = sum(c for x, (_, c) in zip(last, rows) if x == n)
-    sums = [0] * len(order)
+    if not all(isinstance(c, int) and c >= 1 for _, c in rows):
+        raise ZeroInput("counts must be integers of at least 1")
+    sums: list = []
+    last, t = rows[0][0].monomials[-1][0], 0
     for r, c in rows:
-        for e, k in r.monomials:
-            sums[pos[e]] += k * c
-    sums[n] -= t - 1
-    return _make(zip(order[:n + 1], sums))
+        ms = r.monomials
+        sums = _merge(sums, ms if c == 1 else [(e, k * c) for e, k in ms])
+        k = exp_compare(ms[-1][0], last)
+        if k > 0:
+            last, t = ms[-1][0], c
+        elif k == 0:
+            t += c
+    n = 0
+    while exp_compare(sums[n][0], last):
+        n += 1
+    e, s = sums[n]
+    sums[n] = e, s - t + 1
+    return Ordinal(tuple(m for m in sums[:n + 1] if m[1]))
 
 
 def p_ord(targets: Sequence[Union[Ordinal, int]]) -> Ordinal:

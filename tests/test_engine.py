@@ -19,6 +19,7 @@ from ordpigeon.engine import (
     RelationVerdict,
     analyze,
     case6_decompose,
+    classify,
     minimal_omega_power_bound,
     normalize,
     p_top,
@@ -30,14 +31,20 @@ from ordpigeon.ordinal import (
     OMEGA,
     OMEGA1,
     OMEGA2,
+    Ordinal,
     ZERO,
     add,
     as_exponent,
+    format_cnf,
     from_int,
     initial_ordinal,
+    leading_decomposition,
+    mr_sum_counted,
     mul,
+    natural_sum,
     omega_pow,
 )
+from ordpigeon.parser import parse_ordinal
 
 w = OMEGA
 w1 = OMEGA1
@@ -276,6 +283,25 @@ def test_case6_decompose():
         case6_decompose(w1 + 1)
 
 
+def test_case6_decompose_error_order():
+    # too small, then uncountable, then a power of w
+    for a in (ZERO, ONE, 1):
+        with pytest.raises(ValueError, match="at least 2"):
+            case6_decompose(a)
+    for a in (w1, w1 * 2, w2 + 1):
+        with pytest.raises(ValueError, match="countable") as caught:
+            case6_decompose(a)
+        assert not isinstance(caught.value, PowerOfOmegaInput)
+
+
+def test_exported_case6_helpers_coerce_their_input():
+    assert case6_decompose(5) == (ZERO, 5, False)
+    assert minimal_omega_power_bound(5) == ONE
+    for helper in (case6_decompose, minimal_omega_power_bound):
+        with pytest.raises(TypeError, match="cannot interpret"):
+            helper("x")
+
+
 def test_relation_verdicts():
     inst = Instance.of(w, w * 2)
     assert relation_holds(wp(2), inst) is RelationVerdict.HOLDS
@@ -409,3 +435,92 @@ def test_analysed_instances_leave_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# -- the C6 leaves build their values without hashing --------------------------
+
+C6_LEAVES = (CasePath.C6a, CasePath.C6b, CasePath.C6cI, CasePath.C6cII)
+
+
+def test_sums_and_c6_leaves_hash_no_ordinal(monkeypatch):
+    norms = [normalize(Instance.of(*LEAF_TEMPLATES[leaf]))
+             for leaf in C6_LEAVES]
+    targets = [t for norm in norms for t, _ in norm.entries]
+    targets += [w1 + w * 2, wp(as_exponent(w1 + 1)) * 2 + w1 + 3, w2 + w1]
+    fresh = w * 5 + 2
+    hashed = []
+    unpatched = Ordinal.__hash__
+
+    def counted(self):
+        hashed.append(self)
+        return unpatched(self)
+
+    monkeypatch.setattr(Ordinal, "__hash__", counted)
+    natural_sum(*targets)
+    mr_sum_counted([(t, 1 + i % 3) for i, t in enumerate(targets)])
+    cases = [classify(norm).case for norm in norms]
+    assert hashed == []
+    assert cases == list(C6_LEAVES)
+    hash(fresh)
+    assert hashed and hashed[0] is fresh
+
+
+def _generic_value(analysis):
+    # the C6c and C2cII values through generic arithmetic: w^g*n (+ 1)
+    norm = analysis.normalized
+    if analysis.case is CasePath.C2cII:
+        big = max(t for t, _ in norm.entries)
+        g, m, rest = leading_decomposition(big)
+        if rest.is_zero():
+            m -= 1
+        others = sum((int(t) - 1) * c.size for t, c in norm.entries
+                     if t != big)
+        return add(mul(omega_pow(g), from_int(others + m)), ONE)
+    decs = analysis.decompositions
+    counts = [c.size for _, c in norm.entries]
+    gamma = natural_sum(*(g for (g, _, _), c in zip(decs, counts)
+                          for _ in range(c)))
+    if analysis.case is CasePath.C6cI:
+        m = decs[analysis.distinguished][1]
+        return mul(omega_pow(gamma), from_int(m + 1))
+    total = sum((m - 1) * c for (_, m, _), c in zip(decs, counts)) + 1
+    return add(mul(omega_pow(gamma), from_int(total)), ONE)
+
+
+# exact multiples w^g*k and targets with leading coefficient 1, so that
+# C6cI is common among the draws
+exact_multiples = st.tuples(st.sampled_from(C3_EXPONENTS[:-1]),
+                            st.integers(2, 3)).map(lambda p: wp(p[0]) * p[1])
+c6_targets = st.one_of(
+    c3_targets,
+    exact_multiples,
+    st.tuples(st.sampled_from(C3_EXPONENTS[:-1]), c3_targets).map(
+        lambda p: wp(p[0]) + p[1]),
+)
+c6c_entries = st.one_of(
+    st.lists(st.tuples(c6_targets, st.integers(1, 3)), min_size=1,
+             max_size=3),
+    st.tuples(exact_multiples, st.lists(c6_targets, max_size=2)).map(
+        lambda p: ((p[0], 1), *p[1])),
+)
+# one target above w_1 that is not a power of w, with finite company
+c2cii_entries = st.tuples(
+    st.sampled_from([w1, w1 + 1, w1 * 2 + w, w2]), st.integers(1, 3),
+    st.sampled_from([ZERO, ONE, w + 1, wp(2) * 2]),
+    st.lists(st.tuples(st.integers(2, 6), st.integers(1, 3)), min_size=1,
+             max_size=3),
+).map(lambda p: ((add(mul(wp(as_exponent(p[0])), from_int(p[1])), p[2]), 1),
+                 *p[3])).filter(lambda e: e[0][0] > w1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(c6c_entries, c2cii_entries))
+def test_normal_form_values_match_the_generic_arithmetic(entries):
+    analysis = analyze(Instance.of(*entries))
+    if analysis.case not in (CasePath.C6cI, CasePath.C6cII, CasePath.C2cII):
+        return
+    top = analysis.result.value
+    assert top == _generic_value(analysis)
+    text = format_cnf(top)
+    again = parse_ordinal(text)
+    assert again == top and format_cnf(again) == text

@@ -39,6 +39,7 @@ from ordpigeon.ordinal import (
     leading_decomposition,
     left_subtract,
     mr_sum,
+    mr_sum_counted,
     mul,
     natural_sum,
     omega_pow,
@@ -217,6 +218,15 @@ def test_mr_sum_rejects_zero():
         mr_sum([])
     with pytest.raises(ZeroInput):
         mr_sum([w, ZERO])
+
+
+def test_mr_sum_counted_rejects_counts_below_one():
+    assert mr_sum_counted([(w, 1)]) == w
+    for count in (0, -1, 1.0, "1", None):
+        with pytest.raises(ZeroInput):
+            mr_sum_counted([(w, count)])
+        with pytest.raises(ZeroInput):
+            mr_sum_counted([(w + 1, 2), (w, count)])
 
 
 def test_mr_sum_on_successors_is_natural_sum_plus_one():

@@ -57,6 +57,7 @@ def ordinals(draw, depth=2, atoms=False):
 small = ordinals(depth=2)
 wild = ordinals(depth=2, atoms=True)
 positive = small.filter(lambda x: not x.is_zero())
+wild_positive = wild.filter(lambda x: not x.is_zero())
 
 
 @given(wild, wild, wild)
@@ -206,3 +207,49 @@ def test_mr_sum_singleton_identity(a):
 def test_mr_sum_counted_is_mr_sum_of_the_copies(entries):
     copies = [t for t, c in entries for _ in range(c)]
     assert mr_sum_counted(entries) == mr_sum(copies)
+
+
+# -- the merged sums against references that hash or tabulate ------------------
+
+
+def _natural_sum_by_dict(*terms):
+    # coefficients gathered per exponent in a dict, then sorted
+    coeffs = {}
+    for t in terms:
+        for e, c in t.monomials:
+            coeffs[e] = coeffs.get(e, 0) + c
+    exps = sorted(coeffs, key=cmp_to_key(exp_compare), reverse=True)
+    return Ordinal(tuple((e, coeffs[e]) for e in exps if coeffs[e]))
+
+
+def _mr_sum_by_columns(entries):
+    # mr_sum_counted's docstring formula, written out over a table
+    exps = []
+    for t, _ in entries:
+        exps += [e for e, _ in t.monomials
+                 if all(exp_compare(e, f) for f in exps)]
+    exps.sort(key=cmp_to_key(exp_compare), reverse=True)
+    rows = [[sum(k for e, k in t.monomials if exp_compare(e, g) == 0)
+             for g in exps] for t, _ in entries]
+    last = [max(j for j, k in enumerate(row) if k) for row in rows]
+    n = min(last)
+    t = sum(c for x, (_, c) in zip(last, entries) if x == n)
+    sums = [sum(row[j] * c for row, (_, c) in zip(rows, entries))
+            for j in range(len(exps))]
+    sums[n] -= t - 1
+    return Ordinal(tuple((g, s) for g, s in zip(exps[:n + 1], sums) if s))
+
+
+@given(st.lists(wild, min_size=1, max_size=4))
+def test_natural_sum_matches_the_dict_reference(terms):
+    total = natural_sum(*terms)
+    assert total == _natural_sum_by_dict(*terms)
+    assert natural_sum(*reversed(terms)) == total
+
+
+@given(st.lists(st.tuples(wild_positive, st.integers(1, 4)), min_size=1,
+                max_size=4))
+def test_mr_sum_counted_matches_the_column_formula(entries):
+    value = mr_sum_counted(entries)
+    assert value == _mr_sum_by_columns(entries)
+    assert value == mr_sum([t for t, c in entries for _ in range(c)])
