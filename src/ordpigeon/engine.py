@@ -28,6 +28,7 @@ from .ordinal import (
     Record,
     ZERO,
     ZeroInput,
+    _build,
     _coerce,
     _coerce_card,
     _set_values,
@@ -36,7 +37,6 @@ from .ordinal import (
     cardinal_sum,
     cb_rank,
     cofinality,
-    exponent_ordinal,
     from_int,
     is_power_of_omega,
     mr_sum_counted,
@@ -287,7 +287,7 @@ def _case_tree(norm: NormalizedInstance, trail: List[str]) -> tuple:
                              "the number of colours")
                 return CasePath.C2aIIB, Exists(mul(big, succ))
             trail.append("its cofinality is countable")
-            delta = cb_rank(exponent_ordinal(big.leading_exponent()))
+            delta = cb_rank(big.leading_exponent())
             assert delta != succ, "tail exponent cannot be the successor " \
                 "cardinal: that would force uncountable cofinality"
             if delta < succ:
@@ -319,7 +319,7 @@ def _case_tree(norm: NormalizedInstance, trail: List[str]) -> tuple:
         others = sum((int(t) - 1) * c.size for t, c in norm.entries
                      if t != big)
         # the value as a normal form: g > 0 because big exceeds w_1
-        return CasePath.C2cII, Exists(Ordinal(((g, others + m), (ZERO, 1))))
+        return CasePath.C2cII, Exists(_build(((g, others + m), (ZERO, 1))))
 
     trail.append("no target exceeds w_1")
     at_w1 = 0 if countable else _copies(norm, OMEGA1)
@@ -352,7 +352,7 @@ def _case_tree(norm: NormalizedInstance, trail: List[str]) -> tuple:
     counts = [c for _, c in entries]
     # the natural sum of c copies of g multiplies g's coefficients by c
     gamma = natural_sum(*(g if c == 1 else
-                          Ordinal(tuple((e, k * c) for e, k in g.monomials))
+                          _build(tuple((e, k * c) for e, k in g.monomials))
                           for (g, _, _), c in zip(decs, counts)))
     # the first exact multiple of least rank whose every other copy,
     # its own included, has m = 1
@@ -367,11 +367,11 @@ def _case_tree(norm: NormalizedInstance, trail: List[str]) -> tuple:
         trail.append("an exact multiple of a power of w has minimal rank "
                      "and all other multiplicities are 1")
         return CasePath.C6cI, Exists(
-            Ordinal(((gamma, decs[s][1] + 1),))), decs, s
+            _build(((gamma, decs[s][1] + 1),))), decs, s
     trail.append("no exact-multiple target dominates")
     total = sum((m - 1) * c for (_, m, _), c in zip(decs, counts)) + 1
     return CasePath.C6cII, Exists(
-        Ordinal(((gamma, total), (ZERO, 1)))), decs, None
+        _build(((gamma, total), (ZERO, 1)))), decs, None
 
 
 def minimal_omega_power_bound(a: Ordinal) -> Ordinal:
@@ -379,12 +379,8 @@ def minimal_omega_power_bound(a: Ordinal) -> Ordinal:
     a = _coerce(a)
     if a.is_zero():
         raise ZeroInput("a must be at least 1")
-    if a == ONE:
-        return ZERO
-    g = exponent_ordinal(a.leading_exponent())
-    if is_power_of_omega(a):
-        return g
-    return add(g, ONE)
+    g = a.leading_exponent()
+    return g if is_power_of_omega(a) else add(g, ONE)
 
 
 def case6_decompose(a: Ordinal) -> Split:

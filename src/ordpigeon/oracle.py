@@ -27,10 +27,10 @@ from .ordinal import (
     Ordinal,
     ZERO,
     ZeroInput,
+    _build,
     _coerce,
     add,
     compare,
-    exponent_ordinal,
     from_int,
     is_power_of_omega,
     mul,
@@ -106,7 +106,7 @@ def _terms_over(exponents: List[Ordinal], bounds: EnumerationBounds):
     for e in reversed(exponents):
         tails = tails + [((e, c),) + t for c in coeffs for t in tails
                          if len(t) < bounds.max_monomials]
-    return [Ordinal(t) for t in tails]
+    return [_build(t) for t in tails]
 
 
 def enumerate_ordinals_below(bounds: EnumerationBounds) -> List[Ordinal]:
@@ -131,9 +131,8 @@ def _natural_sum_by_table(parts: Sequence[Ordinal]) -> Ordinal:
     sums: Dict = {}
     for x in parts:
         for e, c in x.monomials:
-            eo = exponent_ordinal(e)
-            sums[eo] = sums.get(eo, 0) + c
-    return Ordinal(tuple(sorted(
+            sums[e] = sums.get(e, 0) + c
+    return _build(tuple(sorted(
         sums.items(), key=cmp_to_key(lambda u, v: compare(u[0], v[0])),
         reverse=True)))
 
@@ -142,7 +141,7 @@ def _candidate_lattice(bounds_list: Sequence[Ordinal]) -> List[Ordinal]:
     # the least non-expressible ordinal only needs the bounds' exponents,
     # with coefficients at most the column sums
     columns = _natural_sum_by_table(bounds_list).monomials
-    return [Ordinal(tuple((e, c) for (e, _), c in zip(columns, coeffs) if c))
+    return [_build(tuple((e, c) for (e, _), c in zip(columns, coeffs) if c))
             for coeffs in product(*(range(s + 1) for _, s in columns))]
 
 
@@ -166,7 +165,7 @@ def _step_down(x: Ordinal) -> List[Ordinal]:
     out = []
     for j, (e, c) in enumerate(x.monomials):
         mid = ((e, c - 1),) if c > 1 else ()
-        out.append(Ordinal(x.monomials[:j] + mid + x.monomials[j + 1:]))
+        out.append(_build(x.monomials[:j] + mid + x.monomials[j + 1:]))
     return out
 
 
@@ -191,8 +190,7 @@ def mr_sum_bruteforce_check(bounds_list, candidate, sample_count: int) -> bool:
             return False
 
     exp_pool = sorted({ZERO} | {
-        exponent_ordinal(e)
-        for x in [candidate, *bounds_list] for e, _ in x.monomials})
+        e for x in [candidate, *bounds_list] for e, _ in x.monomials})
     rng = random.Random(1729)
     for _ in range(sample_count):
         a = rng.choice(exp_pool)
@@ -210,13 +208,13 @@ def mr_sum_bruteforce_check(bounds_list, candidate, sample_count: int) -> bool:
 def _as_power(t: Ordinal) -> Optional[Ordinal]:
     if t.is_finite() or not is_power_of_omega(t):
         return None
-    return exponent_ordinal(t.leading_exponent())
+    return t.leading_exponent()
 
 
 def _as_successor_power(t: Ordinal) -> Optional[Ordinal]:
     ms = t.monomials
     if len(ms) == 2 and ms[0][1] == 1 and ms[1] == (ZERO, 1):
-        return exponent_ordinal(ms[0][0])
+        return ms[0][0]
     return None
 
 
@@ -226,7 +224,7 @@ def _as_simple_multiple(t: Ordinal) -> Optional[tuple]:
         return ZERO, int(t)
     ms = t.monomials
     if len(ms) == 2 and ms[1] == (ZERO, 1):
-        return exponent_ordinal(ms[0][0]), ms[0][1]
+        return ms[0][0], ms[0][1]
     return None
 
 

@@ -1,11 +1,18 @@
 """Ordinal arithmetic in Cantor normal form with initial-ordinal atoms.
 
-A value is a finite sum  w^e1*c1 + ... + w^en*cn  with exponents strictly
-decreasing and coefficients positive.  Exponents are ordinals themselves,
-except that an uncountable initial ordinal w_nu (nu >= 1) is kept as an
-opaque atom: since w^(w_nu) = w_nu, the bare atom and the one-monomial
-term (w_nu, 1) denote the same value, so we collapse eagerly and equality
-is structural.  w_0 is plain omega and never stored as an atom.
+A value is a finite sum  w^e1*c1 + ... + w^en*cn  whose exponents are
+Ordinals in strictly decreasing order and whose coefficients are ints
+of at least 1.  Values and exponents are one node type: the uncountable
+initial ordinal w_nu (nu >= 1) is an Atom, the Ordinal with no smaller
+notation.  As w^(w_nu) = w_nu, an atom is its own leading exponent and
+its monomials read ((w_nu, 1),).  Each value has one representation,
+alone or as an exponent, so equality and hashing are structural.  w_0
+is plain omega and never an atom.
+
+The public constructor Ordinal(monomials) checks the normal form and
+raises ValueError (TypeError for an exponent that is not an Ordinal);
+the operations build their results, normal by construction, through
+the unchecked _build.
 
 The representable class is everything generated from 0 by such sums and
 atoms.  Epsilon numbers other than the w_nu themselves have no notation
@@ -15,9 +22,9 @@ Countability is read off the chain of leading exponents: the exponents
 of a normal form decrease and an atom exceeds every countable exponent,
 so a value is below w_1 exactly when that chain ends at 0, not an atom.
 
-Exponent-wise sums (natural_sum, mr_sum_counted) merge the operands'
-monomial lists, already descending, by comparing exponents: nothing is
-hashed or re-sorted.
+The exponent-wise sums (natural_sum, mr_sum_counted) merge the
+operands' monomial lists, already descending, by comparing exponents:
+nothing is hashed or re-sorted.
 """
 
 from __future__ import annotations
@@ -33,48 +40,30 @@ class ZeroInput(ValueError):
     """Raised by operations whose arguments must be non-zero ordinals."""
 
 
-class Atom:
-    """The initial ordinal w_nu, nu >= 1, used in exponent position only."""
-
-    __slots__ = ("index", "_hash")
-
-    def __init__(self, index: "Ordinal"):
-        if index.is_zero():
-            raise ValueError("w_0 is plain omega, not an atom")
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "_hash", hash(("Atom", index)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Atom is immutable")
-
-    def __reduce__(self):
-        return Atom, (self.index,)
-
-    def __eq__(self, other):
-        return isinstance(other, Atom) and self.index == other.index
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return "w_" + _format_atom_index(self.index)
-
-
-Exponent = Union["Ordinal", Atom]
-
-
 class Ordinal:
-    """An ordinal in Cantor normal form.  Immutable; compare with <, ==, etc."""
+    """An ordinal in Cantor normal form.  Immutable; compare with <, ==, etc.
+
+    Ordinal(monomials) takes (exponent, coefficient) pairs and raises
+    unless they form a normal form.  The exponents themselves are not
+    rechecked: they were checked when they were built.  A lone (w_nu, 1)
+    gives the atom w_nu itself."""
 
     # _hash is computed on first use and kept with the node
     __slots__ = ("monomials", "_hash")
 
-    def __init__(self, monomials: tuple = ()):
-        _set_monomials(self, monomials)
-        _set_hash(self, None)
+    def __new__(cls, monomials: tuple = ()):
+        ms = tuple(monomials)
+        for i, (e, c) in enumerate(ms):
+            if not isinstance(e, Ordinal):
+                raise TypeError(f"exponent {e!r} is not an Ordinal")
+            if type(c) is not int or c < 1:
+                raise ValueError(f"coefficient {c!r} is not an int >= 1")
+            if i and compare(ms[i - 1][0], e) <= 0:
+                raise ValueError("exponents must be strictly decreasing")
+        return _build(ms)
 
     def __setattr__(self, name, value):
-        raise AttributeError("Ordinal is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
         return Ordinal, (self.monomials,)
@@ -86,16 +75,15 @@ class Ordinal:
 
     def is_finite(self) -> bool:
         ms = self.monomials
-        return not ms or (len(ms) == 1 and _exp_is_zero(ms[0][0]))
+        return not ms or (len(ms) == 1 and not ms[0][0].monomials)
 
     def is_successor(self) -> bool:
         ms = self.monomials
-        return bool(ms) and _exp_is_zero(ms[-1][0])
+        return bool(ms) and not ms[-1][0].monomials
 
     def is_limit(self) -> bool:
         """True for limit ordinals; 0 is neither successor nor limit."""
-        ms = self.monomials
-        return bool(ms) and not _exp_is_zero(ms[-1][0])
+        return not self.is_zero() and not self.is_successor()
 
     def is_countable(self) -> bool:
         """True when the value is below w_1.  The exponents decrease and an
@@ -108,7 +96,7 @@ class Ordinal:
                 return False
         return True
 
-    def leading_exponent(self) -> Exponent:
+    def leading_exponent(self) -> Ordinal:
         if not self.monomials:
             raise ZeroInput("0 has no leading exponent")
         return self.monomials[0][0]
@@ -167,19 +155,64 @@ class Ordinal:
         return format_cnf(self)
 
 
+class Atom(Ordinal):
+    """The initial ordinal w_nu, nu >= 1: the one node for that value,
+    alone or as an exponent.  As w^(w_nu) = w_nu it is its own leading
+    exponent, so its monomials read ((w_nu, 1),), made on each read so
+    that the node holds no reference to itself.  Only atoms answer
+    .index; comparison, equality, hashing and formatting stop here."""
+
+    __slots__ = ("index",)
+
+    def __new__(cls, index: Ordinal):
+        index = _coerce(index)
+        if index.is_zero():
+            raise ValueError("w_0 is plain omega, not an atom")
+        x = _new(Atom)
+        _set_index(x, index)
+        return x
+
+    @property
+    def monomials(self) -> tuple:
+        return ((self, 1),)
+
+    def __reduce__(self):
+        return Atom, (self.index,)
+
+    def __eq__(self, other):
+        return type(other) is Atom and self.index == other.index
+
+    def __hash__(self):
+        return hash(("Atom", self.index))
+
+
 # the slots' own writers, which skip the immutability guard in __setattr__
+_new = object.__new__
 _set_monomials = Ordinal.monomials.__set__
 _set_hash = Ordinal._hash.__set__
+_set_index = Atom.index.__set__
 
-ZERO = Ordinal()
-ONE = Ordinal(((ZERO, 1),))
-OMEGA = Ordinal(((ONE, 1),))
+
+def _build(ms: tuple) -> Ordinal:
+    """The node for monomials already in normal form, unchecked: the one
+    builder of the operations.  A lone (w_nu, 1) is the atom w_nu."""
+    if len(ms) == 1 and ms[0][1] == 1 and type(ms[0][0]) is Atom:
+        return ms[0][0]
+    x = _new(Ordinal)
+    _set_monomials(x, ms)
+    _set_hash(x, None)
+    return x
+
+
+ZERO = _build(())
+ONE = _build(((ZERO, 1),))
+OMEGA = _build(((ONE, 1),))
 
 
 def from_int(n: int) -> Ordinal:
     if n < 0:
         raise ValueError("ordinals are non-negative")
-    return Ordinal(((ZERO, n),)) if n else ZERO
+    return _build(((ZERO, n),)) if n else ZERO
 
 
 def _coerce(x) -> Ordinal:
@@ -190,28 +223,6 @@ def _coerce(x) -> Ordinal:
     raise TypeError(f"cannot interpret {x!r} as an ordinal")
 
 
-def _exp_is_zero(e: Exponent) -> bool:
-    return type(e) is Ordinal and not e.monomials
-
-
-def exponent_ordinal(e: Exponent) -> Ordinal:
-    """The exponent as a plain Ordinal, expanding an atom w_nu to its term."""
-    if isinstance(e, Atom):
-        return Ordinal(((e, 1),))
-    return e
-
-
-def as_exponent(x: Union[Exponent, int]) -> Exponent:
-    """Normalise to exponent form, collapsing a one-monomial (w_nu, 1) term."""
-    if isinstance(x, Atom):
-        return x
-    x = _coerce(x)
-    ms = x.monomials
-    if len(ms) == 1 and ms[0][1] == 1 and isinstance(ms[0][0], Atom):
-        return ms[0][0]
-    return x
-
-
 def compare(a: Ordinal, b: Ordinal) -> int:
     """Three-way comparison: -1, 0 or 1.  Total order on the notation class."""
     if a is b:
@@ -219,40 +230,15 @@ def compare(a: Ordinal, b: Ordinal) -> int:
     ma, mb = a.monomials, b.monomials
     for (ea, ca), (eb, cb) in zip(ma, mb):
         if ea is not eb:
-            k = (compare(ea, eb) if type(ea) is Ordinal and type(eb) is Ordinal
-                 else exp_compare(ea, eb))
+            # only an atom is its own exponent; two atoms compare by index
+            k = (compare(a.index, b.index) if ea is a and eb is b
+                 else compare(ea, eb))
             if k:
                 return k
         if ca != cb:
             return -1 if ca < cb else 1
     la, lb = len(ma), len(mb)
     return (la > lb) - (la < lb)
-
-
-def exp_compare(e: Exponent, f: Exponent) -> int:
-    if e is f:
-        return 0
-    if isinstance(e, Ordinal):
-        if isinstance(f, Ordinal):
-            return compare(e, f)
-        return -_atom_compare(f, e)
-    if isinstance(f, Atom):
-        return compare(e.index, f.index)
-    return _atom_compare(e, f)
-
-
-def _atom_compare(a: Atom, x: Ordinal) -> int:
-    # compare(exponent_ordinal(a), x) without building the one-monomial term
-    if x.is_countable():
-        return 1
-    ms = x.monomials
-    e, c = ms[0]
-    k = exp_compare(a, e)
-    if k:
-        return k
-    if c != 1:
-        return -1
-    return -1 if len(ms) > 1 else 0
 
 
 def _merge(xs: Sequence, ys: Sequence) -> list:
@@ -262,8 +248,7 @@ def _merge(xs: Sequence, ys: Sequence) -> list:
     i = j = 0
     while i < len(xs) and j < len(ys):
         (e, c), (f, d) = xs[i], ys[j]
-        k = (0 if e is f else compare(e, f)
-             if type(e) is Ordinal and type(f) is Ordinal else exp_compare(e, f))
+        k = compare(e, f)
         out.append((e, c + d) if k == 0 else (e, c) if k > 0 else (f, d))
         i += k >= 0
         j += k <= 0
@@ -282,11 +267,11 @@ def add(a: Ordinal, b: Ordinal) -> Ordinal:
     f, d = b.monomials[0]
     ms = a.monomials
     i = k = 0
-    while i < len(ms) and (k := exp_compare(ms[i][0], f)) > 0:
+    while i < len(ms) and (k := compare(ms[i][0], f)) > 0:
         i += 1
     if i < len(ms) and k == 0:
-        return Ordinal(ms[:i] + ((f, ms[i][1] + d),) + b.monomials[1:])
-    return Ordinal(ms[:i] + b.monomials)
+        return _build(ms[:i] + ((f, ms[i][1] + d),) + b.monomials[1:])
+    return _build(ms[:i] + b.monomials)
 
 
 def mul(a: Ordinal, b: Ordinal) -> Ordinal:
@@ -297,26 +282,23 @@ def mul(a: Ordinal, b: Ordinal) -> Ordinal:
     e1, c1 = a.monomials[0]
     out = ZERO
     for f, d in b.monomials:
-        if _exp_is_zero(f):
-            part = Ordinal(((e1, c1 * d),) + a.monomials[1:])
+        if not f.monomials:
+            part = _build(((e1, c1 * d),) + a.monomials[1:])
         else:
-            e = add(exponent_ordinal(e1), exponent_ordinal(f))
-            part = Ordinal(((as_exponent(e), d),))
+            part = _build(((add(e1, f), d),))
         out = add(out, part)
     return out
 
 
-def omega_pow(e: Union[Exponent, int]) -> Ordinal:
-    """w raised to e.  For e = w_nu this collapses to w_nu itself."""
-    return Ordinal(((as_exponent(e), 1),))
+def omega_pow(e: Union[Ordinal, int]) -> Ordinal:
+    """w raised to e.  For e = w_nu this is w_nu itself."""
+    return _build(((_coerce(e), 1),))
 
 
 def initial_ordinal(nu: Union[Ordinal, int]) -> Ordinal:
     """The nu-th infinite initial ordinal: w_0 = w, and w_nu for nu >= 1."""
     nu = _coerce(nu)
-    if nu.is_zero():
-        return OMEGA
-    return Ordinal(((Atom(nu), 1),))
+    return OMEGA if nu.is_zero() else Atom(nu)
 
 
 OMEGA1 = initial_ordinal(1)
@@ -328,19 +310,19 @@ def left_subtract(a: Ordinal, b: Ordinal) -> Ordinal:
     a, b = _coerce(a), _coerce(b)
     i = 0
     for (ea, ca), (eb, cb) in zip(a.monomials, b.monomials):
-        k = exp_compare(ea, eb)
+        k = compare(ea, eb)
         if k < 0:
-            return Ordinal(b.monomials[i:])
+            return _build(b.monomials[i:])
         if k > 0:
             raise Underflow(f"{a} > {b}")
         if ca != cb:
             if ca > cb:
                 raise Underflow(f"{a} > {b}")
-            return Ordinal(((eb, cb - ca),) + b.monomials[i + 1:])
+            return _build(((eb, cb - ca),) + b.monomials[i + 1:])
         i += 1
     if i < len(a.monomials):
         raise Underflow(f"{a} > {b}")
-    return Ordinal(b.monomials[i:])
+    return _build(b.monomials[i:])
 
 
 def natural_sum(*terms: Union[Ordinal, int]) -> Ordinal:
@@ -349,7 +331,7 @@ def natural_sum(*terms: Union[Ordinal, int]) -> Ordinal:
     ms: list = []
     for t in terms:
         ms = _merge(ms, _coerce(t).monomials)
-    return Ordinal(tuple(m for m in ms if m[1]))
+    return _build(tuple(ms))
 
 
 def cb_rank(x: Ordinal) -> Ordinal:
@@ -358,7 +340,7 @@ def cb_rank(x: Ordinal) -> Ordinal:
     x = _coerce(x)
     if x.is_zero():
         return ZERO
-    return exponent_ordinal(x.monomials[-1][0])
+    return x.monomials[-1][0]
 
 
 def cofinality(a: Ordinal) -> Ordinal:
@@ -367,21 +349,13 @@ def cofinality(a: Ordinal) -> Ordinal:
     if a.is_zero():
         return ZERO
     e = a.monomials[-1][0]
-    if _exp_is_zero(e):
+    if e is a:
+        # w_nu is regular for a successor nu, else as cofinal as nu
+        return a if a.index.is_successor() else cofinality(a.index)
+    if not e.monomials:
         return ONE
-    return _cf_of_omega_pow(e)
-
-
-def _cf_of_omega_pow(e: Exponent) -> Ordinal:
-    # cofinality of w^e for e > 0; for an atom this is the initial ordinal.
-    if isinstance(e, Atom):
-        nu = e.index
-        if nu.is_successor():
-            return Ordinal(((e, 1),))
-        return cofinality(nu)
-    if e.is_successor():
-        return OMEGA
-    return cofinality(e)
+    # cf(w^e) is w for a successor e, else cf(e)
+    return OMEGA if e.is_successor() else cofinality(e)
 
 
 def is_power_of_omega(x: Ordinal) -> bool:
@@ -396,7 +370,7 @@ def leading_decomposition(x: Ordinal):
     if x.is_zero():
         raise ZeroInput("0 has no leading decomposition")
     (e, m), rest = x.monomials[0], x.monomials[1:]
-    return exponent_ordinal(e), m, Ordinal(rest)
+    return e, m, _build(rest)
 
 
 def biembed_canonical(x: Ordinal) -> Ordinal:
@@ -406,7 +380,7 @@ def biembed_canonical(x: Ordinal) -> Ordinal:
     x = _coerce(x)
     if len(x.monomials) < 2:
         return x
-    return add(Ordinal(x.monomials[:1]), ONE)
+    return add(_build(x.monomials[:1]), ONE)
 
 
 def is_order_reinforcing(x: Ordinal) -> bool:
@@ -417,7 +391,7 @@ def is_order_reinforcing(x: Ordinal) -> bool:
     ms = x.monomials
     if len(ms) == 1:
         return ms[0][1] == 1
-    return len(ms) == 2 and _exp_is_zero(ms[1][0]) and ms[1][1] == 1
+    return len(ms) == 2 and not ms[1][0].monomials and ms[1][1] == 1
 
 
 def mr_sum(targets: Sequence[Union[Ordinal, int]]) -> Ordinal:
@@ -451,17 +425,18 @@ def mr_sum_counted(entries: Sequence[Tuple[Union[Ordinal, int], int]]
     for r, c in rows:
         ms = r.monomials
         sums = _merge(sums, ms if c == 1 else [(e, k * c) for e, k in ms])
-        k = exp_compare(ms[-1][0], last)
+        k = compare(ms[-1][0], last)
         if k > 0:
             last, t = ms[-1][0], c
         elif k == 0:
             t += c
     n = 0
-    while exp_compare(sums[n][0], last):
+    while compare(sums[n][0], last):
         n += 1
     e, s = sums[n]
+    # each of the t rows ending at g_n adds at least one to s_n
     sums[n] = e, s - t + 1
-    return Ordinal(tuple(m for m in sums[:n + 1] if m[1]))
+    return _build(tuple(sums[:n + 1]))
 
 
 def p_ord(targets: Sequence[Union[Ordinal, int]]) -> Ordinal:
@@ -476,7 +451,7 @@ def p_ord(targets: Sequence[Union[Ordinal, int]]) -> Ordinal:
 
 class Record:
     """Immutable record: a subclass names its fields in __slots__ and its
-    __init__ writes them through the slots' writers, as Ordinal does,
+    __init__ writes them through the slots' writers, as _build does,
     plus _values, the fields in slot order, which equality (same type
     too), hash and a dataclass-style repr read.  It keeps dataclasses
     (and the inspect, ast and dis it loads) off the CLI's start-up.
@@ -554,29 +529,26 @@ class Cardinal(Record):
         return initial_ordinal(self.aleph_index)
 
     def _key(self):
-        return (0, self.size, ZERO) if self.aleph_index is None else (1, 0, self.aleph_index)
+        # the finite cardinals by size, then the alephs by index
+        return (0, self.size) if self.aleph_index is None else \
+            (1, self.aleph_index)
 
     def __lt__(self, other):
-        other = _coerce_card(other)
-        (ka, na, ia), (kb, nb, ib) = self._key(), other._key()
-        if ka != kb:
-            return ka < kb
-        return na < nb if ka == 0 else ia < ib
+        return self._key() < _coerce_card(other)._key()
 
     def __le__(self, other):
-        other = _coerce_card(other)
-        return self == other or self < other
+        return self._key() <= _coerce_card(other)._key()
 
     def __gt__(self, other):
-        return not self <= _coerce_card(other)
+        return self._key() > _coerce_card(other)._key()
 
     def __ge__(self, other):
-        return not self < _coerce_card(other)
+        return self._key() >= _coerce_card(other)._key()
 
     def __repr__(self):
         if self.aleph_index is None:
             return str(self.size)
-        return "aleph_" + _format_atom_index(self.aleph_index)
+        return "aleph_" + _format_index(self.aleph_index)
 
 
 _set_aleph_index, _set_size = Cardinal._writers()
@@ -605,23 +577,13 @@ def cardinal_sum(cards: Iterable[Cardinal]) -> Cardinal:
 # -- formatting (ascii w-notation, reused by the parser module) --------------
 
 
-def _format_atom_index(nu: Ordinal) -> str:
+def _format_index(nu: Ordinal) -> str:
+    # an atom's index, or an exponent other than 0, 1 and an atom
     if nu.is_finite():
         return str(int(nu))
-    if nu == OMEGA:
-        return "w"
-    ms = nu.monomials
-    if len(ms) == 1 and ms[0][1] == 1 and isinstance(ms[0][0], Atom):
-        return "w_" + _format_atom_index(ms[0][0].index)
+    if type(nu) is Atom or nu == OMEGA:
+        return format_cnf(nu)
     return "(" + format_cnf(nu) + ")"
-
-
-def _format_exponent(e: Ordinal) -> str:
-    if e.is_finite():
-        return str(int(e))
-    if e == OMEGA:
-        return "w"
-    return "(" + format_cnf(e) + ")"
 
 
 def format_cnf(x: Ordinal) -> str:
@@ -630,14 +592,14 @@ def format_cnf(x: Ordinal) -> str:
         return "0"
     parts = []
     for e, c in x.monomials:
-        if isinstance(e, Atom):
-            base = "w_" + _format_atom_index(e.index)
+        if type(e) is Atom:
+            base = "w_" + _format_index(e.index)
         elif e.is_zero():
             parts.append(str(c))
             continue
         elif e == ONE:
             base = "w"
         else:
-            base = "w^" + _format_exponent(e)
+            base = "w^" + _format_index(e)
         parts.append(base if c == 1 else base + "*" + str(c))
     return "+".join(parts)

@@ -43,12 +43,12 @@ from .ordinal import (
     OMEGA2,
     Ordinal,
     ZERO,
+    _build,
     add,
     biembed_canonical,
     cb_rank,
     cofinality,
     compare,
-    exponent_ordinal,
     from_int,
     initial_ordinal,
     is_order_reinforcing,
@@ -129,7 +129,7 @@ def criterion_2() -> CriterionResult:
 def _is_omega_power_tower(a: Ordinal) -> bool:
     # a = w^(w^b): a power of w whose exponent is a power of w
     return (is_power_of_omega(a) and not a.is_finite()
-            and is_power_of_omega(exponent_ordinal(a.leading_exponent())))
+            and is_power_of_omega(a.leading_exponent()))
 
 
 def criterion_3() -> CriterionResult:
@@ -157,7 +157,7 @@ def _predecessor(x: Ordinal) -> Optional[Ordinal]:
         return None
     ms = x.monomials
     tail = ((ZERO, ms[-1][1] - 1),) if ms[-1][1] > 1 else ()
-    return Ordinal(ms[:-1] + tail)
+    return _build(ms[:-1] + tail)
 
 
 def _random_mr_bound(rng: random.Random) -> Ordinal:
@@ -324,7 +324,7 @@ def _maximal_failing(value: Ordinal) -> Ordinal:
     ms = value.monomials
     if ms[0][1] == 1:
         raise ValueError(f"{value} has no largest failing point")
-    return add(Ordinal(((ms[0][0], ms[0][1] - 1),)), 1)
+    return add(_build(((ms[0][0], ms[0][1] - 1),)), 1)
 
 
 _TAMPERS = [
@@ -508,7 +508,7 @@ def _algebra_suite(iterations: int) -> Tuple[bool, str]:
         m = rng.randint(1, 4)
         assert cb_rank(mul(omega_pow(g), m)) == g
         if not a.is_zero():
-            assert cb_rank(a) <= exponent_ordinal(a.leading_exponent())
+            assert cb_rank(a) <= a.leading_exponent()
         if a > ONE:
             assert cofinality(cofinality(a)) == cofinality(a)
         if not a.is_zero():

@@ -45,15 +45,12 @@ from .ordinal import (
     Ordinal,
     ZERO,
     ZeroInput,
+    _build,
     _coerce,
-    _exp_is_zero,
     add,
-    as_exponent,
     cb_rank,
     cofinality,
     compare,
-    exp_compare,
-    exponent_ordinal,
     from_int,
     is_power_of_omega,
     leading_decomposition,
@@ -159,14 +156,13 @@ def residual_shape(alpha: Ordinal, zeta: Ordinal) -> Ordinal:
     high = []
     low = False
     for e, c in alpha.monomials:
-        eo = exponent_ordinal(e)
-        if eo >= zeta:
-            high.append((as_exponent(left_subtract(zeta, eo)), c))
+        if e >= zeta:
+            high.append((left_subtract(zeta, e), c))
         else:
             low = True
     if not high:
         return ZERO
-    quotient = Ordinal(tuple(high))
+    quotient = _build(tuple(high))
     shape = left_subtract(ONE, quotient)
     return add(shape, ONE) if low else shape
 
@@ -206,7 +202,7 @@ class NatsumSplitter:
             bm, ptr, gap = self.bounds[i].monomials, 0, 0
             for j, (e, _) in enumerate(monos):
                 while ptr < len(bm):
-                    order = exp_compare(bm[ptr][0], e)
+                    order = compare(bm[ptr][0], e)
                     if order < 0:
                         break
                     ptr += 1
@@ -283,7 +279,7 @@ class NatsumSplitter:
         k = len(self.bounds)
         for _, c in monos[len(shares) // k:]:
             shares += [c] + [0] * (k - 1)
-        return [Ordinal(tuple((e, p) for (e, _), p in zip(monos, shares[i::k])
+        return [_build(tuple((e, p) for (e, _), p in zip(monos, shares[i::k])
                               if p)) for i in range(k)]
 
 
@@ -492,8 +488,8 @@ def _build_infinite(beta, facts, flat):
     classes = [list(ivs) for ivs in natsum_split(g, parts, final_part=s)]
 
     gamma_min, c_min = g.monomials[-1]
-    p = Ordinal(g.monomials[:-1] + (((gamma_min, c_min - 1),) if c_min > 1
-                                    else ()))
+    p = _build(g.monomials[:-1] + (((gamma_min, c_min - 1),) if c_min > 1
+                                   else ()))
     lo, hi = classes[s][-1]
     assert hi == g, "the distinguished piece finishes the rank space"
     if lo < p:
@@ -520,11 +516,9 @@ def _distinguishing_shapes(class_res: Ordinal, target_res: Ordinal) -> bool:
     cm, tm = class_res.monomials, target_res.monomials
     if len(cm) != 2 or len(tm) != 1:
         return False
-    (rho, a), (last_exp, last_coeff) = cm
-    if not _exp_is_zero(last_exp) or last_coeff != 1 or _exp_is_zero(rho):
-        return False
-    rho_t, b = tm[0]
-    return exp_compare(rho, rho_t) == 0 and b > a
+    (rho, a), last = cm
+    (rho_t, b), = tm
+    return last == (ZERO, 1) and not rho.is_zero() and rho == rho_t and b > a
 
 
 # -- verification -----------------------------------------------------------------

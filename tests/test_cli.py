@@ -181,6 +181,18 @@ def test_witness_needs_space_below_threshold(capsys):
     assert err.startswith("error:")
 
 
+def test_witness_that_fails_its_own_check_is_an_error(monkeypatch, capsys):
+    # the check is a plain test, so it holds under python -O too
+    import ordpigeon.witness as witness_mod
+    monkeypatch.setattr(witness_mod, "verify_certificates",
+                        lambda *args: False)
+    assert run(["witness", "w^3", "w+1:3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_usage_errors(capsys):
     assert run(["ptop", "w^^2"]) == 2
     assert run(["mrsum", "0"]) == 2

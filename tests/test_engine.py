@@ -34,7 +34,6 @@ from ordpigeon.ordinal import (
     Ordinal,
     ZERO,
     add,
-    as_exponent,
     format_cnf,
     from_int,
     initial_ordinal,
@@ -128,18 +127,18 @@ def test_case2a_power_high_cofinality():
 
 def test_case2a_power_middle_cofinality():
     # cf(w^(w_1*2)) = w_1 <= aleph_1 yet uncountable
-    big = wp(as_exponent(w1 * 2))
+    big = wp(w1 * 2)
     assert case_of((big, 1), (2, A1)) is CasePath.C2aIIB
     assert value((big, 1), (2, A1)) == mul(big, w2)
 
 
 def test_case2a_power_countable_cofinality():
     # exponent w_1 + w has tail rank 1 < w_1: multiply by the successor
-    big = wp(as_exponent(w1 + w))
+    big = wp(w1 + w)
     assert case_of((big, 1), (2, A0)) is CasePath.C2aIIC_lt
     assert value((big, 1), (2, A0)) == mul(big, w1)
     # exponent w^(w_1+1) still has countable cofinality, tail rank w_1+1
-    big = wp(as_exponent(wp(w1 + 1)))
+    big = wp(wp(w1 + 1))
     assert case_of((big, 1), (2, A0)) is CasePath.C2aIIC_gt
     assert value((big, 1), (2, A0)) == big
 
@@ -319,9 +318,9 @@ LEAF_TEMPLATES = {
     CasePath.C1: (w1 + 1, w + 1),
     CasePath.C2aI: ((w1 + 1, 1), (2, A0)),
     CasePath.C2aIIA: ((w2, 1), (2, A0)),
-    CasePath.C2aIIB: ((wp(as_exponent(w1 * 2)), 1), (2, A1)),
-    CasePath.C2aIIC_lt: ((wp(as_exponent(w1 + w)), 1), (2, A0)),
-    CasePath.C2aIIC_gt: ((wp(as_exponent(wp(w1 + 1))), 1), (2, A0)),
+    CasePath.C2aIIB: ((wp(w1 * 2), 1), (2, A1)),
+    CasePath.C2aIIC_lt: ((wp(w1 + w), 1), (2, A0)),
+    CasePath.C2aIIC_gt: ((wp(wp(w1 + 1)), 1), (2, A0)),
     CasePath.C2bI: (w2, w),
     CasePath.C2bII: (w1 + 1, w),
     CasePath.C2cI: (w1 * 2 + 5,),
@@ -446,7 +445,7 @@ def test_sums_and_c6_leaves_hash_no_ordinal(monkeypatch):
     norms = [normalize(Instance.of(*LEAF_TEMPLATES[leaf]))
              for leaf in C6_LEAVES]
     targets = [t for norm in norms for t, _ in norm.entries]
-    targets += [w1 + w * 2, wp(as_exponent(w1 + 1)) * 2 + w1 + 3, w2 + w1]
+    targets += [w1 + w * 2, wp(w1 + 1) * 2 + w1 + 3, w2 + w1]
     fresh = w * 5 + 2
     hashed = []
     unpatched = Ordinal.__hash__
@@ -509,7 +508,7 @@ c2cii_entries = st.tuples(
     st.sampled_from([ZERO, ONE, w + 1, wp(2) * 2]),
     st.lists(st.tuples(st.integers(2, 6), st.integers(1, 3)), min_size=1,
              max_size=3),
-).map(lambda p: ((add(mul(wp(as_exponent(p[0])), from_int(p[1])), p[2]), 1),
+).map(lambda p: ((add(mul(wp(p[0]), from_int(p[1])), p[2]), 1),
                  *p[3])).filter(lambda e: e[0][0] > w1)
 
 

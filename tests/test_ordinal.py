@@ -11,6 +11,7 @@ from functools import cmp_to_key
 from itertools import product
 
 import pytest
+from hypothesis import given
 
 from ordpigeon.ordinal import (
     Atom,
@@ -24,13 +25,11 @@ from ordpigeon.ordinal import (
     ZERO,
     ZeroInput,
     add,
-    as_exponent,
     biembed_canonical,
     cardinal_sum,
     cb_rank,
     cofinality,
     compare,
-    exp_compare,
     format_cnf,
     from_int,
     initial_ordinal,
@@ -45,6 +44,7 @@ from ordpigeon.ordinal import (
     omega_pow,
     p_ord,
 )
+from test_ordinal_props import _deep_copy, wild
 
 w = OMEGA
 w1 = OMEGA1
@@ -70,7 +70,7 @@ def grid(max_exp, max_coeff):
 
 def test_order_chain():
     chain = [ZERO, ONE, from_int(2), w, w + 1, w * 2, wp(2), wp(2) + w,
-             wp(w), wp(w + 1), w1, w1 + 1, w1 * 2, wp(as_exponent(w1 * 2)),
+             wp(w), wp(w + 1), w1, w1 + 1, w1 * 2, wp(w1 * 2),
              w2, initial_ordinal(w)]
     for i, a in enumerate(chain):
         for j, b in enumerate(chain):
@@ -90,6 +90,51 @@ def test_int_coercion():
 def test_atom_index_positive():
     with pytest.raises(ValueError):
         Atom(ZERO)
+
+
+# -- the public constructor takes normal forms only ---------------------------
+
+NOT_NORMAL = {
+    # w^4*0 is 0, but the kernel would read it as a term: plus 1, w^4*0+1
+    "zero coefficient": (((from_int(4), 0),), ValueError),
+    # "1+w" is w, but the kernel would compare it below w
+    "ascending exponents": (((ZERO, 1), (ONE, 1)), ValueError),
+    "repeated exponent": (((ONE, 1), (ONE, 2)), ValueError),
+    "repeated atom": (((Atom(ONE), 1), (OMEGA1, 2)), ValueError),
+    "negative coefficient": (((ONE, -1),), ValueError),
+    "float coefficient": (((ONE, 1.5),), ValueError),
+    "bool coefficient": (((ONE, True),), ValueError),
+    "int exponent": (((1, 1),), TypeError),
+}
+
+
+@pytest.mark.parametrize("monomials, error", NOT_NORMAL.values(),
+                         ids=NOT_NORMAL)
+def test_constructor_rejects_what_is_not_a_normal_form(monomials, error):
+    with pytest.raises(error):
+        Ordinal(monomials)
+
+
+@given(wild, wild)
+def test_operations_build_only_normal_forms(a, b):
+    lo, hi = min(a, b), max(a, b)
+    results = [add(a, b), mul(a, b), natural_sum(a, b),
+               left_subtract(lo, hi), omega_pow(a)]
+    if not lo.is_zero():
+        results.append(mr_sum_counted([(a, 1), (b, 2)]))
+    for x in results:
+        y = _deep_copy(x)  # node by node through the public constructors
+        assert type(y) is type(x)
+        assert y == x and hash(y) == hash(x)
+
+
+@pytest.mark.parametrize("nu", [ONE, from_int(2), w, w1],
+                         ids=["1", "2", "w", "w_1"])
+def test_w_nu_has_one_node(nu):
+    x = Ordinal(((Atom(nu), 1),))
+    assert type(x) is Atom and x.monomials == ((x, 1),)
+    assert x == initial_ordinal(nu) and hash(x) == hash(initial_ordinal(nu))
+    assert omega_pow(x) == x and omega_pow(initial_ordinal(nu)) == x
 
 
 # -- addition ----------------------------------------------------------------
@@ -164,7 +209,7 @@ def test_mul_pinned():
     assert mul(wp(w) * 3 + 1, w) == wp(w + 1)
     assert mul(w1 + 1, w2) == w2
     assert mul(w2, initial_ordinal(4)) == initial_ordinal(4)
-    assert mul(w1, w1) == wp(as_exponent(w1 * 2))
+    assert mul(w1, w1) == wp(w1 * 2)
     assert mul(wp(2) * 2 + w, w * 5 + 4) == wp(3) * 5 + wp(2) * 8 + w
 
 
@@ -173,7 +218,7 @@ def test_mul_pinned():
 
 def natsum_oracle(a, b):
     pieces = [(e, c) for e, c in a.monomials] + [(e, c) for e, c in b.monomials]
-    pieces.sort(key=cmp_to_key(lambda p, q: exp_compare(p[0], q[0])),
+    pieces.sort(key=cmp_to_key(lambda p, q: compare(p[0], q[0])),
                 reverse=True)
     out = ZERO
     for e, c in pieces:
@@ -257,7 +302,7 @@ def test_cofinality():
     assert cofinality(wp(w)) == w
     assert cofinality(wp(w + 1)) == w
     assert cofinality(w1) == w1
-    assert cofinality(wp(as_exponent(w1 * 2))) == w1
+    assert cofinality(wp(w1 * 2)) == w1
     assert cofinality(w1 * w) == w
     assert cofinality(initial_ordinal(w)) == w
     assert cofinality(initial_ordinal(w1)) == w1
@@ -281,8 +326,8 @@ def test_structure_predicates():
     assert w1.is_limit() and not w1.is_countable()
     assert (wp(w) + 5).is_countable()
     # atoms nested inside exponents count too: w^(w_1 + 1) = w_1 * w
-    assert not wp(as_exponent(w1 + 1)).is_countable()
-    assert not (wp(2) * 3 + wp(as_exponent(w1 + w))).is_countable()
+    assert not wp(w1 + 1).is_countable()
+    assert not (wp(2) * 3 + wp(w1 + w)).is_countable()
 
 
 def test_a_deep_tower_answers_is_countable_without_recursion():

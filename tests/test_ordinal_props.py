@@ -16,7 +16,6 @@ from ordpigeon.ordinal import (
     cb_rank,
     cofinality,
     compare,
-    exp_compare,
     from_int,
     initial_ordinal,
     left_subtract,
@@ -30,7 +29,7 @@ from ordpigeon.ordinal import (
 
 def build(exponents, coeffs):
     pairs = sorted(zip(exponents, coeffs),
-                   key=cmp_to_key(lambda p, q: exp_compare(p[0], q[0])),
+                   key=cmp_to_key(lambda p, q: compare(p[0], q[0])),
                    reverse=True)
     return Ordinal(tuple((e, c) for e, c in pairs))
 
@@ -48,7 +47,7 @@ def ordinals(draw, depth=2, atoms=False):
             e = Atom(from_int(draw(st.integers(1, 3))))
         else:
             e = draw(ordinals(depth=depth - 1, atoms=False))
-        if all(exp_compare(e, f) != 0 for f in exps):
+        if all(compare(e, f) != 0 for f in exps):
             exps.append(e)
     coeffs = [draw(st.integers(1, 4)) for _ in exps]
     return build(exps, coeffs)
@@ -218,7 +217,7 @@ def _natural_sum_by_dict(*terms):
     for t in terms:
         for e, c in t.monomials:
             coeffs[e] = coeffs.get(e, 0) + c
-    exps = sorted(coeffs, key=cmp_to_key(exp_compare), reverse=True)
+    exps = sorted(coeffs, key=cmp_to_key(compare), reverse=True)
     return Ordinal(tuple((e, coeffs[e]) for e in exps if coeffs[e]))
 
 
@@ -227,9 +226,9 @@ def _mr_sum_by_columns(entries):
     exps = []
     for t, _ in entries:
         exps += [e for e, _ in t.monomials
-                 if all(exp_compare(e, f) for f in exps)]
-    exps.sort(key=cmp_to_key(exp_compare), reverse=True)
-    rows = [[sum(k for e, k in t.monomials if exp_compare(e, g) == 0)
+                 if all(compare(e, f) for f in exps)]
+    exps.sort(key=cmp_to_key(compare), reverse=True)
+    rows = [[sum(k for e, k in t.monomials if compare(e, g) == 0)
              for g in exps] for t, _ in entries]
     last = [max(j for j, k in enumerate(row) if k) for row in rows]
     n = min(last)

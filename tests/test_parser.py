@@ -9,7 +9,6 @@ from ordpigeon.ordinal import (
     OMEGA1,
     ZERO,
     add,
-    as_exponent,
     format_cnf,
     from_int,
     initial_ordinal,
@@ -29,7 +28,7 @@ w = OMEGA
 
 
 def wp(e):
-    return omega_pow(as_exponent(e))
+    return omega_pow(e)
 
 
 def test_basic_forms():

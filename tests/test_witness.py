@@ -437,8 +437,6 @@ def points_below(beta, ranks=range(3), coeffs=range(1, 4)):
 def test_eval_total_and_consistent_with_rank_classes(beta, entries):
     norm, col, certs = built(beta, *entries)
     g = beta.leading_exponent()
-    from ordpigeon.ordinal import exponent_ordinal
-    g = exponent_ordinal(g)
     for x in points_below(beta):
         colour = eval_colouring(col, x)
         assert 0 <= colour < col.colours
