@@ -10,7 +10,8 @@ we report the provable lower bound and the known consistency facts.
 classify walks the case tree once, and each leaf computes its value
 where the tree reaches it.  A count is a number throughout: in the
 finite-colour leaves a target of count c enters each formula once,
-scaled by c, so no leaf lists the targets copy by copy.
+scaled by c, so no leaf lists the targets copy by copy.  normalize and
+the C6 leaves each take what they need in one pass over the entries.
 """
 
 from __future__ import annotations
@@ -31,17 +32,18 @@ from .ordinal import (
     _build,
     _coerce,
     _coerce_card,
+    _merge,
     _set_values,
     add,
     biembed_canonical,
     cardinal_sum,
     cb_rank,
     cofinality,
+    compare,
     from_int,
     is_power_of_omega,
     mr_sum_counted,
     mul,
-    natural_sum,
     omega_pow,
 )
 
@@ -77,9 +79,6 @@ class Instance(Record):
     def of(*entries) -> "Instance":
         return Instance([item if isinstance(item, tuple) else (item, 1)
                          for item in entries])
-
-    def kappa(self) -> Cardinal:
-        return cardinal_sum(c for _, c in self.entries)
 
 
 class NormalizedInstance(Record):
@@ -191,12 +190,16 @@ def normalize(inst: Instance) -> Union[NormalizedInstance, PigeonholeResult]:
     """
     if not inst.entries:
         raise EmptyInstance("no targets")
-    if any(t.is_zero() for t, _ in inst.entries):
-        return Exists(ZERO)
-    entries = tuple((t, c) for t, c in inst.entries if t != ONE)
-    if not entries:
+    kept = []
+    for entry in inst.entries:
+        ms = entry[0].monomials
+        if not ms:
+            return Exists(ZERO)
+        if len(ms) > 1 or ms[0][1] > 1 or ms[0][0].monomials:  # not 1
+            kept.append(entry)
+    if not kept:
         return Exists(ONE)
-    return NormalizedInstance(entries, cardinal_sum(c for _, c in entries))
+    return NormalizedInstance(tuple(kept), cardinal_sum(c for _, c in kept))
 
 
 # a target's case6_decompose split: (g, m, exact)
@@ -211,7 +214,8 @@ class Analysis(Record):
     the index of the entry whose exact multiple dominates in C6cI; the
     witness builder reads these per-entry facts here and gives them to
     each of the entry's colours.  Elsewhere they are None.  normalized
-    is None for the degenerate leaves Zero and AllOnes.
+    is None for the degenerate leaves Zero and AllOnes.  The C6 leaves
+    gather these facts in one pass over the entries.
     """
 
     __slots__ = ("case", "trail", "result", "normalized", "decompositions",
@@ -312,10 +316,8 @@ def _case_tree(norm: NormalizedInstance, trail: List[str]) -> tuple:
             return CasePath.C2cI, Exists(biembed_canonical(big))
         trail.append("the large target is not a power of w and there are "
                      "other targets")
-        # w^g*m + 1 <= big <= w^g*(m+1); big is not w^g, so m >= 2 at rest 0
-        g, m = big.monomials[0]
-        if len(big.monomials) == 1:
-            m -= 1
+        # w^g*m + 1 <= big <= w^g*(m+1), and m >= 1 as big is not w^g
+        g, m, _ = _split(big.monomials)
         others = sum((int(t) - 1) * c.size for t, c in norm.entries
                      if t != big)
         # the value as a normal form: g > 0 because big exceeds w_1
@@ -336,42 +338,45 @@ def _case_tree(norm: NormalizedInstance, trail: List[str]) -> tuple:
         trail.append("infinitely many colours")
         return CasePath.C5, Exists(kappa.successor().as_ordinal())
     trail.append("finitely many colours")
-    # each C6 value is a sum over the targets, so an entry's count scales
-    # its term instead of repeating it
-    entries = [(t, c.size) for t, c in norm.entries]
-    if all(t.is_finite() for t, _ in entries):
+    # one pass: each target is split once and its count scales its terms.
+    # It merges gamma, the natural sum of the g, counts the copies with
+    # m > 1 and keeps the least rank of the g with its first exact entry,
+    # or an exact entry with m > 1, the only one that could dominate
+    decs, rows, total, heavy, least, first = [], [], 1, 0, None, None
+    for i, (t, c) in enumerate(norm.entries):
+        g, m, exact = dec = _split(t.monomials)
+        if not m:       # t = w^g
+            trail.append("some target is a power of w")
+            return CasePath.C6b, Exists(omega_pow(mr_sum_counted(
+                [(minimal_omega_power_bound(t), c.size)
+                 for t, c in norm.entries])))
+        decs.append(dec)
+        c = c.size
+        total += (m - 1) * c
+        heavy += c if m > 1 else 0
+        gs = g.monomials
+        rows = _merge(rows, gs if c == 1 else [(e, k * c) for e, k in gs])
+        rank = gs[-1][0] if gs else ZERO        # cb_rank(g)
+        k = -1 if least is None else compare(rank, least)
+        if k < 0 or k == 0 and exact and (first is None or m > 1):
+            least, first = rank, i if exact else None
+    if not rows:
         trail.append("every target is finite")
-        return CasePath.C6a, Exists(
-            from_int(sum((int(t) - 1) * c for t, c in entries) + 1))
-    if any(is_power_of_omega(t) for t, _ in entries):
-        trail.append("some target is a power of w")
-        return CasePath.C6b, Exists(omega_pow(mr_sum_counted(
-            [(minimal_omega_power_bound(t), c) for t, c in entries])))
+        return CasePath.C6a, Exists(from_int(total))
     trail.append("no target is a power of w and some target is infinite")
-    decs = tuple(case6_decompose(t) for t, _ in entries)
-    counts = [c for _, c in entries]
-    # the natural sum of c copies of g multiplies g's coefficients by c
-    gamma = natural_sum(*(g if c == 1 else
-                          _build(tuple((e, k * c) for e, k in g.monomials))
-                          for (g, _, _), c in zip(decs, counts)))
-    # the first exact multiple of least rank whose every other copy,
-    # its own included, has m = 1
-    ranks = [cb_rank(g) for g, _, _ in decs]
-    s = next((s for s, (_, _, exact) in enumerate(decs)
-              if exact and not any(ranks[s] > r for r in ranks)
-              and all(m == 1 for i, (_, m, _) in enumerate(decs)
-                      if i != s or counts[i] > 1)), None)
+    # it dominates when every copy but its own one has m = 1
+    s = first if heavy == (first is not None and decs[first][1] > 1) else None
     # the values as normal forms: gamma is countable, so it is its own
     # exponent form, and gamma >= 1 because some target is infinite
+    gamma = _build(tuple(rows))
     if s is not None:
         trail.append("an exact multiple of a power of w has minimal rank "
                      "and all other multiplicities are 1")
         return CasePath.C6cI, Exists(
-            _build(((gamma, decs[s][1] + 1),))), decs, s
+            _build(((gamma, decs[s][1] + 1),))), tuple(decs), s
     trail.append("no exact-multiple target dominates")
-    total = sum((m - 1) * c for (_, m, _), c in zip(decs, counts)) + 1
     return CasePath.C6cII, Exists(
-        _build(((gamma, total), (ZERO, 1)))), decs, None
+        _build(((gamma, total), (ZERO, 1)))), tuple(decs), None
 
 
 def minimal_omega_power_bound(a: Ordinal) -> Ordinal:
@@ -398,12 +403,15 @@ def case6_decompose(a: Ordinal) -> Split:
         raise ValueError("a must be at least 2")
     if not a.is_countable():
         raise ValueError("a must be countable")
-    g, m = ms[0]
-    if len(ms) == 1 and m == 1:
+    if len(ms) == 1 and ms[0][1] == 1:
         raise PowerOfOmegaInput("powers of w have no such decomposition")
-    if len(ms) == 1 and not g.is_zero():
-        return g, m - 1, True
-    return g, m, False
+    return _split(ms)
+
+
+def _split(ms: tuple) -> Split:
+    # case6_decompose of monomials ms, unchecked; m = 0 for w^g
+    g, m = ms[0]
+    return (g, m - 1, True) if len(ms) == 1 and g.monomials else (g, m, False)
 
 
 def analyze(inst: Instance) -> Analysis:

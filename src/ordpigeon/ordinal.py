@@ -224,14 +224,19 @@ def _coerce(x) -> Ordinal:
 
 
 def compare(a: Ordinal, b: Ordinal) -> int:
-    """Three-way comparison: -1, 0 or 1.  Total order on the notation class."""
+    """Three-way comparison: -1, 0 or 1, a total order.  Ints coerce."""
     if a is b:
         return 0
-    ma, mb = a.monomials, b.monomials
+    try:
+        ma, mb = a.monomials, b.monomials
+    except AttributeError:
+        return compare(_coerce(a), _coerce(b))
     for (ea, ca), (eb, cb) in zip(ma, mb):
         if ea is not eb:
-            # only an atom is its own exponent; two atoms compare by index
+            # only an atom is its own exponent, above every countable one
             k = (compare(a.index, b.index) if ea is a and eb is b
+                 else 1 if ea is a and eb.is_countable()
+                 else -1 if eb is b and ea.is_countable()
                  else compare(ea, eb))
             if k:
                 return k

@@ -5,7 +5,7 @@ import random
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ordpigeon import engine
 from ordpigeon.engine import (
@@ -34,6 +34,7 @@ from ordpigeon.ordinal import (
     Ordinal,
     ZERO,
     add,
+    cb_rank,
     format_cnf,
     from_int,
     initial_ordinal,
@@ -523,3 +524,29 @@ def test_normal_form_values_match_the_generic_arithmetic(entries):
     text = format_cnf(top)
     again = parse_ordinal(text)
     assert again == top and format_cnf(again) == text
+
+
+def _distinguished_by_the_rule(norm, decs):
+    # the first exact entry of minimal rank whose other copies, its own
+    # included, all have m = 1, entry by entry
+    ranks = [cb_rank(g) for g, _, _ in decs]
+    counts = [c.size for _, c in norm.entries]
+    return next((s for s, (_, _, exact) in enumerate(decs)
+                 if exact and not any(ranks[s] > r for r in ranks)
+                 and all(m == 1 for i, (_, m, _) in enumerate(decs)
+                         if i != s or counts[i] > 1)), None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(c6c_entries)
+# a later exact entry of lower rank; an exact entry with m > 1 and count 2
+@example(((wp(w) * 2, 1), (w * 2, 1)))
+@example(((w * 3, 2),))
+def test_the_one_pass_c6c_leaf_matches_the_per_target_rule(entries):
+    analysis = analyze(Instance.of(*entries))
+    if analysis.case not in (CasePath.C6cI, CasePath.C6cII):
+        return
+    norm = analysis.normalized
+    decs = tuple(case6_decompose(t) for t, _ in norm.entries)
+    assert analysis.decompositions == decs
+    assert analysis.distinguished == _distinguished_by_the_rule(norm, decs)

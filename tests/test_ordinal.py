@@ -87,6 +87,16 @@ def test_int_coercion():
         from_int(-1)
 
 
+def test_compare_coerces_ints_as_the_operators_do():
+    assert compare(w, 1) == 1 and (w > 1) is True
+    assert compare(3, w) == -1 and compare(from_int(4), 4) == 0
+    assert compare(2, 5) == -1
+    with pytest.raises(TypeError):
+        compare(w, "w")
+    with pytest.raises(TypeError):
+        compare(1.5, w)
+
+
 def test_atom_index_positive():
     with pytest.raises(ValueError):
         Atom(ZERO)
@@ -338,6 +348,16 @@ def test_a_deep_tower_answers_is_countable_without_recursion():
         for _ in range(1500):
             x = omega_pow(x)
         assert x.is_countable() is countable
+
+
+def test_an_atom_against_a_deep_countable_tower_needs_no_recursion():
+    # an atom exceeds every countable exponent: is_countable's loop
+    # settles the pair instead of a descent down the tower
+    x = from_int(2)
+    for _ in range(1500):
+        x = omega_pow(x)
+    assert compare(x, w1) == -1 and compare(w1, x) == 1
+    assert x < w1 and w2 > x
 
 
 def test_leading_decomposition():
