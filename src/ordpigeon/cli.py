@@ -224,21 +224,26 @@ def _deserialize_witness(result: dict):
 
     def opt(x):
         return None if x is None else parse_ordinal(x)
+
+    def integer(x):  # JSON's 1.7, true and "1" are not colours or bounds
+        if type(x) is not int:
+            raise TypeError(f"{x!r} is not an integer")
+        return x
     col = RankColouring(
         domain=parse_ordinal(result["domain"]),
         mode=ColouringMode(result["mode"]),
         rank_classes=tuple(
             tuple((parse_ordinal(lo), parse_ordinal(hi)) for lo, hi in union)
             for union in result["rank_classes"]),
-        top_point_colours=tuple(int(c) for c in result["top_point_colours"]),
+        top_point_colours=tuple(map(integer, result["top_point_colours"])),
         zero_colour=(None if result["zero_colour"] is None
-                     else int(result["zero_colour"])))
+                     else integer(result["zero_colour"])))
     certs = tuple(ObstructionCertificate(
-        colour=int(c["colour"]),
+        colour=integer(c["colour"]),
         kind=CertKind(c["kind"]),
         claimed_target=parse_ordinal(c["claimed_target"]),
         level=opt(c["level"]),
-        bound=None if c["bound"] is None else int(c["bound"]),
+        bound=None if c["bound"] is None else integer(c["bound"]),
         class_residual=opt(c["class_residual"]),
         target_residual=opt(c["target_residual"]),
     ) for c in result["certificates"])

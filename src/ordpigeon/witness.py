@@ -23,13 +23,18 @@ cannot be weakened without detection:
   CofinalitySplit       the two classes split by cofinality: points of
                         uncountable cofinality contain no w+1, the rest
                         contain nothing above w_1.
+
+The verifier reads each part once; it walks the rank intervals up from
+0, each colour's next one in turn, to check that they tile [0, g).
+Colours, bounds and top-point and zero colours are exact ints (no bool
+or float), ordinal fields and interval endpoints Ordinals or ints >= 0;
+anything else is rejected.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cmp_to_key
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .engine import (
@@ -55,9 +60,7 @@ from .ordinal import (
     is_power_of_omega,
     leading_decomposition,
     left_subtract,
-    mul,
     natural_sum,
-    omega_pow,
 )
 
 
@@ -133,12 +136,11 @@ class ObstructionCertificate:
 
 def order_type_of_union(intervals: Sequence[Interval]) -> Ordinal:
     """Order type of a disjoint ascending union of half-open intervals."""
-    total = ZERO
-    prev = None
+    total = prev = ZERO
     for lo, hi in intervals:
         if compare(lo, hi) >= 0:
             raise PreconditionViolated(f"bad interval [{lo}, {hi})")
-        if prev is not None and lo < prev:
+        if compare(lo, prev) < 0:
             raise PreconditionViolated("intervals must ascend")
         total = add(total, left_subtract(lo, hi))
         prev = hi
@@ -150,13 +152,14 @@ def residual_shape(alpha: Ordinal, zeta: Ordinal) -> Ordinal:
     points of rank at least zeta are exactly the positive multiples of
     w^zeta below alpha, a closed set, so the type determines the
     subspace up to homeomorphism."""
-    alpha, zeta = _coerce(alpha), _coerce(zeta)
-    if zeta.is_zero():
+    if not (isinstance(alpha, Ordinal) and isinstance(zeta, Ordinal)):
+        alpha, zeta = _coerce(alpha), _coerce(zeta)
+    if not zeta.monomials:
         return alpha
     high = []
     low = False
     for e, c in alpha.monomials:
-        if e >= zeta:
+        if compare(e, zeta) >= 0:
             high.append((left_subtract(zeta, e), c))
         else:
             low = True
@@ -304,9 +307,10 @@ def natsum_split(eta, parts, final_part: Optional[int] = None) -> List[IntervalU
         raise PreconditionViolated("final_part out of range")
     coeffs = [dict(p.monomials) for p in parts]
     pieces: List[List[Interval]] = [[] for _ in parts]
-    cursor = ZERO
+    # a piece ends at eta's blocks before e plus w^e*used, a normal form
+    lo = ZERO
     blocks = eta.monomials
-    for bi, (e, c) in enumerate(blocks):
+    for bi, (e, _) in enumerate(blocks):
         order = list(range(len(parts)))
         if final_part is not None and bi == len(blocks) - 1:
             order = [i for i in order if i != final_part] + [final_part]
@@ -314,11 +318,10 @@ def natsum_split(eta, parts, final_part: Optional[int] = None) -> List[IntervalU
         for i in order:
             d = coeffs[i].get(e, 0)
             if d:
-                lo = add(cursor, mul(omega_pow(e), from_int(used)))
-                hi = add(cursor, mul(omega_pow(e), from_int(used + d)))
-                pieces[i].append((lo, hi))
                 used += d
-        cursor = add(cursor, mul(omega_pow(e), from_int(c)))
+                hi = _build(blocks[:bi] + ((e, used),))
+                pieces[i].append((lo, hi))
+                lo = hi
     return [tuple(p) for p in pieces]
 
 
@@ -524,122 +527,113 @@ def _distinguishing_shapes(class_res: Ordinal, target_res: Ordinal) -> bool:
 # -- verification -----------------------------------------------------------------
 
 
+def _is_ordinal(x) -> bool:
+    # an ordinal field or interval endpoint: an Ordinal or an int >= 0
+    return isinstance(x, Ordinal) or type(x) is int and x >= 0
+
+
+def _matches(field, value: Ordinal) -> bool:
+    return _is_ordinal(field) and compare(field, value) == 0
+
+
 def verify_certificates(col: RankColouring, norm: NormalizedInstance,
                         certs) -> bool:
     """Recompute every quantity a certificate relies on and compare
     exactly.  Any single altered field changes some recomputed value or
-    violates well-formedness, so the verdict flips."""
+    violates well-formedness, so the verdict flips.  Each part is read
+    once (see the module docstring); integer fields must be exact ints,
+    ordinal fields Ordinals or ints >= 0, else the verdict is False."""
     # compare the colour count before listing a target per colour
     if not norm.kappa.is_finite() or col.colours != norm.kappa.size:
         return False
     flat = _by_colour(norm)
     k = len(flat)
-    by_colour = {}
+    per: list = [None] * k
     for cert in certs:
-        if not isinstance(cert.colour, int) or cert.colour in by_colour:
+        i = cert.colour
+        if type(i) is not int or not 0 <= i < k or per[i] is not None:
             return False
-        by_colour[cert.colour] = cert
-    if set(by_colour) != set(range(k)):
-        return False
-    if any(by_colour[i].claimed_target != flat[i] for i in range(k)):
-        return False
-
+        per[i] = cert
+    for cert, target in zip(per, flat):
+        if cert is None or not _matches(cert.claimed_target, target):
+            return False
+    classes, tops, zero = col.rank_classes, col.top_point_colours, \
+        col.zero_colour
     if col.mode is ColouringMode.COFINALITY:
-        if (k != 2 or any(col.rank_classes) or col.top_point_colours
-                or col.zero_colour is not None):
-            return False
-        for cert in by_colour.values():
-            if cert.kind is not CertKind.COFINALITY_SPLIT:
-                return False
-            if (cert.level is not None or cert.bound is not None
-                    or cert.class_residual is not None
-                    or cert.target_residual is not None):
-                return False
-        return flat[0] > OMEGA1 and flat[1] > OMEGA
+        return (k == 2 and not any(classes) and not tops and zero is None
+                and all(c.kind is CertKind.COFINALITY_SPLIT and c.level is None
+                        and c.bound is None and c.class_residual is None
+                        and c.target_residual is None for c in per)
+                and compare(flat[0], OMEGA1) > 0 and compare(flat[1], OMEGA) > 0)
 
-    if col.domain.is_zero():
-        g: Ordinal = ZERO
-        top_count = 0
-        if col.zero_colour is not None:
+    if not _is_ordinal(col.domain):
+        return False
+    ms = _coerce(col.domain).monomials
+    g, m = ms[0] if ms else (ZERO, 1)
+    top_count = m if len(ms) > 1 else m - 1
+    # the empty domain has no point 0 to colour, a finite one colours it
+    if (zero is not None and not ms or zero is None and ms and not g.monomials
+            or len(tops) != top_count):
+        return False
+    exceptions = [0] * k
+    for c in [*tops, zero] if zero is not None else tops:
+        if type(c) is not int or not 0 <= c < k:
             return False
-    else:
-        g, m, tail = leading_decomposition(col.domain)
-        top_count = m if not tail.is_zero() else m - 1
-        if col.domain.is_finite() and col.zero_colour is None:
+        exceptions[c] += 1
+    # each kind's own fields (of level, bound and the two residuals) and
+    # exceptional points, before anything is recomputed
+    for i, cert in enumerate(per):
+        kind, n = cert.kind, exceptions[i]
+        fields = (cert.level is not None, cert.bound is not None,
+                  cert.class_residual is not None, cert.target_residual is not None)
+        if not (kind is CertKind.DERIVATIVE_EMPTY and n == 0
+                and fields == (True, False, False, False)
+                or kind is CertKind.DERIVATIVE_SMALL and cert.bound == n > 0
+                and type(cert.bound) is int
+                and fields == (True, True, False, False)
+                # all the top points, not the point 0
+                or kind is CertKind.DERIVATIVE_NOT_EMBEDDABLE
+                and n == top_count > 0 and zero != i and bool(classes[i])
+                and fields == (True, False, True, True)):
             return False
-    if len(col.top_point_colours) != top_count:
-        return False
-    if any(not isinstance(c, int) or not 0 <= c < k
-           for c in col.top_point_colours):
-        return False
-    if col.zero_colour is not None and not 0 <= col.zero_colour < k:
-        return False
 
-    labelled = sorted((iv for ivs in col.rank_classes for iv in ivs),
-                      key=cmp_to_key(lambda u, v: compare(u[0], v[0])))
-    cursor = ZERO
-    for lo, hi in labelled:
-        if lo != cursor or hi <= lo:
-            return False
-        cursor = hi
-    if cursor != g:
-        return False
-
-    for i in range(k):
-        cert = by_colour[i]
-        target = flat[i]
-        ivs = col.rank_classes[i]
-        if any(c < b for (_, b), (c, _) in zip(ivs, ivs[1:])):
-            return False
-        top_hits = sum(1 for c in col.top_point_colours if c == i)
-        exceptions = top_hits + (1 if col.zero_colour == i else 0)
-
-        if cert.kind is CertKind.DERIVATIVE_EMPTY:
-            if cert.bound is not None or cert.class_residual is not None \
-                    or cert.target_residual is not None:
-                return False
-            if exceptions != 0 or cert.level is None:
-                return False
-            if cert.level != order_type_of_union(ivs):
-                return False
-            if residual_shape(target, cert.level).is_zero():
-                return False
-        elif cert.kind is CertKind.DERIVATIVE_SMALL:
-            if cert.class_residual is not None \
-                    or cert.target_residual is not None:
-                return False
-            if cert.level is None or cert.bound is None:
-                return False
-            if cert.level != order_type_of_union(ivs):
-                return False
-            if cert.bound != exceptions or exceptions == 0:
-                return False
-            if not residual_shape(target, cert.level) > from_int(cert.bound):
-                return False
-        elif cert.kind is CertKind.DERIVATIVE_NOT_EMBEDDABLE:
-            if cert.bound is not None:
-                return False
-            if cert.level is None or cert.class_residual is None \
-                    or cert.target_residual is None:
-                return False
-            if not ivs:
-                return False
-            p, hi = ivs[-1]
-            if hi != g:
-                return False
-            if cert.level != order_type_of_union(ivs[:-1]):
-                return False
-            if top_hits != top_count or top_count == 0:
-                return False
-            if col.zero_colour == i:
-                return False
-            if cert.class_residual != residual_shape(col.domain, p):
-                return False
-            if cert.target_residual != residual_shape(target, cert.level):
-                return False
-            if not _distinguishing_shapes(cert.class_residual,
-                                          cert.target_residual):
-                return False
+    # tiling: from 0, some colour's next interval starts where the last
+    # ended, up to g (natsum_split lays colours out in turn, so try the
+    # next colour first), summing each colour's order type on the way
+    taken, types, before_last = [0] * k, [ZERO] * k, [ZERO] * k
+    cursor, i = ZERO, 0
+    for _ in range(sum(map(len, classes))):
+        for _ in range(k):
+            ivs, j = classes[i], taken[i]
+            if j < len(ivs) and _matches(ivs[j][0], cursor):
+                break
+            i = (i + 1) % k
         else:
+            return False
+        hi = ivs[j][1]
+        if not _is_ordinal(hi) or compare(hi, cursor) <= 0:
+            return False
+        before_last[i] = types[i]
+        types[i] = add(types[i], left_subtract(cursor, hi))
+        taken[i], cursor, i = j + 1, hi, (i + 1) % k
+    if compare(cursor, g):
+        return False
+
+    for i, cert in enumerate(per):
+        if cert.kind is not CertKind.DERIVATIVE_NOT_EMBEDDABLE:
+            residual = residual_shape(flat[i], types[i])
+            if not _matches(cert.level, types[i]) or (
+                    compare(residual, from_int(cert.bound)) <= 0
+                    if cert.bound else not residual.monomials):
+                return False
+            continue
+        # the last interval finishes the rank space
+        p, hi = classes[i][-1]
+        class_res = residual_shape(col.domain, p)
+        target_res = residual_shape(flat[i], before_last[i])
+        if not (compare(hi, g) == 0 and _matches(cert.level, before_last[i])
+                and _matches(cert.class_residual, class_res)
+                and _matches(cert.target_residual, target_res)
+                and _distinguishing_shapes(class_res, target_res)):
             return False
     return True

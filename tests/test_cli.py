@@ -145,6 +145,30 @@ def test_verify_rejects_tampered_file(tmp_path, capsys):
     assert lines_of(capsys) == ["witness rejected"]
 
 
+@pytest.mark.parametrize("field,value", [
+    ("colour", 1.7), ("colour", True), ("colour", "1"), ("bound", 1.0),
+    ("top_point_colours", [1.5]), ("zero_colour", False),
+])
+def test_verify_reads_integer_fields_as_exact_ints(tmp_path, capsys, field,
+                                                   value):
+    # w^2+1 below p_top(w+1, w*2) = w^2*2: one top point, of colour 1
+    assert run(["witness", "w^2+1", "w+1", "w*2", "--json"]) == 0
+    env = json.loads(capsys.readouterr().out)
+    path = tmp_path / "wit.json"
+    path.write_text(json.dumps(env))
+    assert run(["verify", str(path)]) == 0
+    capsys.readouterr()
+    result = env["result"]
+    assert result["top_point_colours"] == [1]
+    (result if field in result else result["certificates"][1])[field] = value
+    path.write_text(json.dumps(env))
+    assert run(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: not a witness file: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_verify_error_paths(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert run(["verify", str(missing)]) == 2

@@ -35,7 +35,7 @@ from ordpigeon.ordinal import (
     omega_pow,
 )
 from ordpigeon.oracle import mr_sum_bruteforce_check
-from ordpigeon.selftest import _maximal_failing
+from ordpigeon.selftest import _maximal_failing, _tamper_all
 from ordpigeon.witness import (
     CertKind,
     ColouringMode,
@@ -616,3 +616,140 @@ def test_many_equal_bounds_split_at_once():
         env=env, capture_output=True, text=True, timeout=20)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("domain w^40, mode rank, 40 colours")
+
+
+# -- verification: exact ints and the tiling walk -------------------------------
+
+
+def test_verify_takes_exact_ints_for_colours_bounds_and_colour_lists():
+    # two top points of colour 1, whose DerivativeSmall bound is 2
+    norm, col, certs = built(add(mul(w, 2), 3), (add(w, 1), 1), (3, 1))
+    assert verify_certificates(col, norm, certs)
+    for bad in (True, 1.0, "1"):
+        assert not verify_certificates(
+            col, norm, [certs[0], replace(certs[1], colour=bad)])
+        assert not verify_certificates(
+            replace(col, top_point_colours=(bad, bad)), norm, certs)
+    for bad in (2.0, "2"):
+        assert not verify_certificates(
+            col, norm, [certs[0], replace(certs[1], bound=bad)])
+    # the point 0 of a finite domain takes colour 0
+    norm, col, certs = built(4, (3, 2))
+    assert col.zero_colour == 0
+    assert not verify_certificates(replace(col, zero_colour=False), norm, certs)
+    assert not verify_certificates(replace(col, zero_colour=0.0), norm, certs)
+    # a bound of 1 is not True
+    norm, col, certs = built(mul(wp(2), 2), (mul(wp(2), 3), 1))
+    assert certs[0].bound == 1
+    assert not verify_certificates(col, norm, [replace(certs[0], bound=True)])
+
+
+NOT_ORDINALS = ["1", 1.5, True, -1, None, (ONE,)]
+
+
+def test_verify_rejects_fields_that_are_not_ordinals_without_raising():
+    norm, col, certs = built(add(wp(2), 1), (mul(w, 2), 2))
+    for bad in NOT_ORDINALS:
+        for j, cert in enumerate(certs):
+            for field in ("claimed_target", "level", "class_residual",
+                          "target_residual"):
+                if bad is None and getattr(cert, field) is None:
+                    continue    # not a change
+                broken = certs[:j] + [replace(cert, **{field: bad})] \
+                    + certs[j + 1:]
+                assert not verify_certificates(col, norm, broken)
+        for i, ivs in enumerate(col.rank_classes):
+            for end in (0, 1):
+                iv = tuple(bad if e == end else x
+                           for e, x in enumerate(ivs[0]))
+                classes = list(col.rank_classes)
+                classes[i] = (iv,) + ivs[1:]
+                assert not verify_certificates(
+                    replace(col, rank_classes=tuple(classes)), norm, certs)
+        assert not verify_certificates(replace(col, domain=bad), norm, certs)
+
+
+def test_verify_reads_int_ordinal_fields_as_ordinals():
+    norm, col, certs = built(wp(2), (add(w, 1), 2))
+    assert certs[0].level == ONE
+    assert verify_certificates(col, norm, [replace(certs[0], level=1),
+                                           certs[1]])
+    assert verify_certificates(replace(col, rank_classes=(((0, 1),),
+                                                          ((1, 2),))),
+                               norm, certs)
+
+
+def with_classes(col, *classes):
+    return replace(col, rank_classes=tuple(classes))
+
+
+def test_the_tiling_walk_rejects_bad_rank_intervals():
+    two = from_int(2)
+    # one colour owning two intervals, [0, 1) and [1, 2), below w^2*2+1
+    norm, col, certs = built(add(mul(wp(2), 2), 1), (mul(wp(2), 3), 1))
+    assert col.rank_classes == (((ZERO, ONE), (ONE, two)),)
+    assert verify_certificates(col, norm, certs)
+    out_of_order = with_classes(col, ((ONE, two), (ZERO, ONE)))
+    assert not verify_certificates(out_of_order, norm, certs)
+    empty = with_classes(col, ((ZERO, ONE), (ONE, ONE), (ONE, two)))
+    assert not verify_certificates(empty, norm, certs)
+
+    norm, col, certs = built(wp(2), (add(w, 1), 2))
+    assert col.rank_classes == (((ZERO, ONE),), ((ONE, two),))
+    same_start = with_classes(col, ((ZERO, ONE),), ((ZERO, ONE),))
+    assert not verify_certificates(same_start, norm, certs)
+    # the same intervals below w^3 stop short of its rank 3
+    short = replace(col, domain=wp(3))
+    assert not verify_certificates(short, norm, certs)
+    # and three colours' intervals below w^2 run past its rank 2
+    norm, col, certs = built(wp(3), (add(w, 1), 3))
+    assert not verify_certificates(replace(col, domain=wp(2)), norm, certs)
+
+
+def test_verify_places_the_zero_colour_on_finite_domains_only():
+    norm, col, certs = built(wp(2), (add(w, 1), 2))
+    for colour in (0, 1):
+        assert not verify_certificates(replace(col, zero_colour=colour),
+                                       norm, certs)
+    norm, col, certs = built(4, (3, 2))
+    assert not verify_certificates(replace(col, zero_colour=None), norm, certs)
+
+
+def points_up_to(value):
+    """Points below a C6 value: small ones, and the largest if any."""
+    pts = points_below(value, ranks=range(4))
+    try:
+        pts.append(_maximal_failing(value))
+    except ValueError:
+        pass    # a power of w has no largest point below it
+    return pts
+
+
+def interval_tampers(col):
+    """Each colour's intervals moved to [0, their order type): the order
+    type stays, the tiling breaks."""
+    for i, ivs in enumerate(col.rank_classes):
+        if ivs and ivs[0][0] != ZERO:
+            classes = list(col.rank_classes)
+            classes[i] = ((ZERO, order_type_of_union(ivs)),)
+            yield replace(col, rank_classes=tuple(classes))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(c6_targets, st.integers(1, 3)), min_size=1,
+                max_size=3), st.data())
+def test_built_witnesses_verify_and_every_tamper_is_caught(entries, data):
+    analysis = analyze(Instance.of(*entries))
+    beta = data.draw(st.sampled_from(points_up_to(analysis.result.value)))
+    norm = analysis.normalized
+    try:
+        col, certs = build_counterexample(beta, norm)
+    except OutOfScope:
+        return      # the residual-counting certificate does not reach it
+    certs = tuple(certs)
+    assert verify_certificates(col, norm, certs)
+    # every field of every certificate bumped as criterion 7 does, and
+    # the top points shifted one colour up
+    assert _tamper_all(col, norm, certs) is None
+    for broken in interval_tampers(col):
+        assert not verify_certificates(broken, norm, certs)
