@@ -6,7 +6,9 @@ sums from an ascending scan for the least non-expressible ordinal, and
 the cross-check formulas are written out independently, so agreement is
 evidence rather than tautology; nothing here calls mr_sum or natural_sum.
 Each Milner-Rado scan asks one witness.NatsumSplitter, kept for that
-scan only, yes or no per candidate.
+scan only, yes or no per candidate.  The Milner-Rado check builds what
+it asks as normal forms with the kernel's unchecked builder, with no
+arithmetic, and asks each distinct seeded draw once.
 
 Enumerations are ascending by construction: with exponents descending
 and coefficients rising, product order is ordinal order.
@@ -173,7 +175,10 @@ def mr_sum_bruteforce_check(bounds_list, candidate, sample_count: int) -> bool:
     """Exact non-expressibility of the candidate, plus expressibility of
     everything sampled below it: all ordinals below min(candidate, 50),
     the candidate's one-step-down neighbours, and sample_count seeded
-    draws of the form w^a*b + c."""
+    draws of the form w^a*b + c, each asked once."""
+    if type(sample_count) is not int or sample_count < 0:
+        raise ValueError(f"sample_count must be an int >= 0, "
+                         f"not {sample_count!r}")
     splitter = NatsumSplitter(bounds_list)
     bounds_list = splitter.bounds
     candidate = _coerce(candidate)
@@ -182,7 +187,7 @@ def mr_sum_bruteforce_check(bounds_list, candidate, sample_count: int) -> bool:
 
     small = int(candidate) if candidate.is_finite() else 50
     for n in range(min(small, 50)):
-        if not splitter.splits(from_int(n)):
+        if not splitter.splits(_build(((ZERO, n),) if n else ())):
             return False
 
     for probe in _step_down(candidate):
@@ -192,12 +197,19 @@ def mr_sum_bruteforce_check(bounds_list, candidate, sample_count: int) -> bool:
     exp_pool = sorted({ZERO} | {
         e for x in [candidate, *bounds_list] for e, _ in x.monomials})
     rng = random.Random(1729)
+    asked = set()
     for _ in range(sample_count):
         a = rng.choice(exp_pool)
         b = rng.randint(1, 5)
         c = rng.randint(0, 4)
-        delta = add(mul(omega_pow(a), from_int(b)), from_int(c))
-        if delta < candidate and not splitter.splits(delta):
+        # a finite draw b + c < 50 is among the finite probes when it is
+        # below the candidate
+        key = (id(a), b, c)
+        if not a.monomials or key in asked:
+            continue
+        asked.add(key)
+        delta = _build(((a, b), (ZERO, c)) if c else ((a, b),))
+        if compare(delta, candidate) < 0 and not splitter.splits(delta):
             return False
     return True
 

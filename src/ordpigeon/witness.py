@@ -178,8 +178,10 @@ class NatsumSplitter:
     The bounds are coerced and checked once; each exponent list's merge
     with them is made on first use and kept, keyed by the identity of
     the exponent objects (the table holds them, so no id is reused;
-    hashing fresh trees by value cost more than it saved).  parts()
-    builds the canonical first splitting, splits() only answers."""
+    hashing fresh trees by value cost more than it saved).  The search
+    is one loop over an explicit stack of shares still to try, with no
+    Python frame per part or position.  parts() builds the canonical
+    first splitting, splits() only answers."""
 
     __slots__ = ("bounds", "_tables")
 
@@ -223,51 +225,62 @@ class NatsumSplitter:
     def _search(self, monos) -> Optional[List[int]]:
         """The parts' shares of each coefficient, k per position, until
         every part is below its bound (the first part takes the rest), or
-        None; largest first part first, feasible shares only."""
+        None; largest first part first, feasible shares only.  One loop
+        over an explicit stack of shares still to try, so the depth of
+        the search is not bounded by Python's recursion limit."""
         key = tuple([id(e) for e, _ in monos])
         table = self._tables.get(key)
         if table is None:
             table = self._tables[key] = self._merge(monos)
         _, skipped, room = table
         n, last = len(monos), len(self.bounds) - 1
-        every = (2 << last) - 1
+        k, every, tail = last + 1, (2 << last) - 1, skipped[n]
         shares: List[int] = []
-
-        def place(j, below):
-            # bit i of below: part i is already strictly below bound i
-            below |= skipped[j]
-            if below == every:
-                return True
-            return j < n and share(j, 0, monos[j][1], below, below)
-
-        def share(j, i, left, below, nbelow):
-            # part i takes p of the left coefficient, the last part all of
-            # it; at the last position a part not yet below its bound must
-            # get below here, unless skipped[n] already puts it below, so
-            # its room there is one less than its bound's coefficient
-            if not below >> i and left > room[j][i]:
-                return False
-            bit = 1 << i
-            cap = top = left if below & bit else room[j][i] - room[j][i + 1]
-            if j == n - 1 and not (below | skipped[n]) & bit:
-                cap = top + 1
-            if i == last:
-                if left > top:
-                    return False
-                shares.append(left)
-                if place(j + 1, nbelow | bit if left < cap else nbelow):
-                    return True
-                shares.pop()
-                return False
-            for p in range(min(left, top), -1, -1):
+        # bit i of below: part i is already strictly below bound i (every
+        # bound has a monomial, so delta 0 returns here)
+        below = skipped[0]
+        if below == every:
+            return shares
+        # an entry (j, i, left, below, p): part i takes p of the coefficient
+        # left at position j, after parts 0..i-1 took theirs there
+        stack: List[tuple] = []
+        j, i, left = 0, 0, monos[0][1]
+        while True:
+            # enter part i at position j: unless a part i.. is below its
+            # bound, parts i.. must fit in room[j][i]; part i takes at most
+            # its room, the last part all that is left.  At the last
+            # position room[-1][i] is one less than the bound's coefficient
+            # for a part still to get below there, so top can be -1: then
+            # no share fits and nothing is pushed
+            if below >> i or left <= room[j][i]:
+                top = left if below >> i & 1 else room[j][i] - room[j][i + 1]
+                p = left if left < top else top
+                if p >= 0 and (i < last or p == left):
+                    stack.append((j, i, left, below, p))
+            while True:
+                if not stack:
+                    return None
+                j, i, left, below, p = stack.pop()
+                if p and i < last:
+                    stack.append((j, i, left, below, p - 1))
+                del shares[j * k + i:]
                 shares.append(p)
-                if share(j, i + 1, left - p, below,
-                         nbelow | bit if p < cap else nbelow):
-                    return True
-                shares.pop()
-            return False
-
-        return shares if place(0, 0) else None
+                # taking less than its bound's coefficient puts part i
+                # below, and at the last position a part must get below
+                if not below >> i & 1 and (
+                        p < room[j][i] - room[j][i + 1]
+                        or j == n - 1 and not tail >> i & 1):
+                    below |= 1 << i
+                if i < last:
+                    i, left = i + 1, left - p
+                    break
+                j += 1
+                below |= skipped[j]
+                if below == every:
+                    return shares
+                if j < n:
+                    i, left = 0, monos[j][1]
+                    break
 
     def splits(self, delta) -> bool:
         """Whether delta is a natural sum of parts below the bounds."""
@@ -353,10 +366,9 @@ def eval_colouring(col: RankColouring, x) -> int:
 _RANK_CASES = (CasePath.C6a, CasePath.C6b, CasePath.C6cI, CasePath.C6cII)
 
 # The most colours build_counterexample colours for.  A witness lists a
-# target, rank classes and a certificate per colour, and the natural-sum
-# search behind it recurses once per colour and position, so counts are
-# expanded to colours only up to this bound; above it the build is
-# OutOfScope.
+# target, rank classes and a certificate per colour, so its size grows
+# with the colour count; counts are expanded to colours only up to this
+# bound, and above it the build is OutOfScope.
 MAX_COLOURS = 256
 
 

@@ -1,12 +1,15 @@
 """End-to-end checks of the command line surface."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ordpigeon.selftest as selftest_mod
 from ordpigeon.cli import run
@@ -321,3 +324,115 @@ def test_selftest_reporting(monkeypatch, capsys):
     env = json.loads(capsys.readouterr().out)
     assert env["result"]["passed"] is False
     assert [c["ok"] for c in env["result"]["criteria"]] == [True, False]
+
+
+# -- fuzzing: every input ends in a documented exit code ----------------------
+
+
+def run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_documented_exit(code, err):
+    # 0 success, 1 a clean negative answer, 2 usage: one error line
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert sum("error:" in line for line in err.split("\n")) == 1, err
+
+
+SUBCOMMANDS = ["ptop", "pord", "mrsum", "natsum", "arith", "classify",
+               "case", "witness", "verify", "selftest"]
+# pieces of the grammar, so that many fuzzed strings get past the scanner
+PIECES = st.sampled_from(["w", "w_", "^", "(", ")", "+", "*", ":", ",",
+                          "aleph_", "0", "1", "2", "3", "9" * 30, " ", "-",
+                          "--json", "add", "cmp", "\n", "\u00b2", "\u00e9"])
+EXPRESSION = st.recursive(
+    st.sampled_from(["0", "1", "3", "w", "w_1", "w_w"]),
+    lambda inner: st.one_of(st.tuples(inner, inner).map("+".join),
+                            inner.map(lambda x: f"{x}*2"),
+                            inner.map(lambda x: f"w^({x})")),
+    max_leaves=4)
+ENTRY = st.tuples(EXPRESSION, st.sampled_from(
+    ["", ":2", ":3", ":300", ":aleph_0", ":aleph_1"])).map("".join)
+ARGUMENT = st.one_of(st.text(max_size=12),
+                     st.lists(PIECES, max_size=10).map("".join),
+                     ENTRY, st.sampled_from(["add", "mul", "cmp"]))
+
+
+@settings(max_examples=320, deadline=None)
+@given(st.sampled_from(SUBCOMMANDS), st.lists(ARGUMENT, max_size=4),
+       st.lists(st.sampled_from(["--json", "--unicode"]), max_size=2))
+def test_fuzzed_arguments_end_in_a_documented_exit(command, args, flags):
+    if command == "selftest":
+        args = [*args, "x"]  # bare, it would run the acceptance grids
+    code, _, err = run_captured([command, *args, *flags])
+    assert_documented_exit(code, err)
+
+
+# one witness per certificate kind, mutated below
+BASE_WITNESSES = [["w^2+1", "w*2:2"], ["w^3", "w+1:3"], ["5", "2:3", "3"],
+                  ["w_1", "w_1+1", "w+1"], ["w^2*2+w", "w^2+1", "w+2"]]
+DEEP = "\u0000deep"
+JUNK = st.one_of(
+    st.just(DEEP),
+    st.recursive(st.none() | st.booleans() | st.integers() | st.floats()
+                 | st.text(max_size=8),
+                 lambda inner: st.lists(inner, max_size=3)
+                 | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+                 max_leaves=6))
+
+
+@pytest.fixture(scope="module")
+def witness_envelopes():
+    envelopes = []
+    for args in BASE_WITNESSES:
+        code, out, _ = run_captured(["witness", *args, "--json"])
+        assert code == 0
+        envelopes.append(json.loads(out))
+    return envelopes
+
+
+def places(node, path=()):
+    yield path
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from places(child, path + (key,))
+
+
+def mutated(data, envelope):
+    """The envelope with one to three nodes replaced by junk, deleted, or
+    nested deeply."""
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(places(envelope))))
+        action = data.draw(st.sampled_from(["junk", "delete", "nest"]))
+        if not path:
+            envelope = data.draw(JUNK)
+            continue
+        parent = envelope
+        for key in path[:-1]:
+            parent = parent[key]
+        if action == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(JUNK) if action == "junk" else \
+                [[parent[path[-1]]]]
+    depth = data.draw(st.sampled_from([20, 5000]))
+    return json.dumps(envelope).replace(json.dumps(DEEP),
+                                        "[" * depth + "]" * depth)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fuzzed_witness_files_end_in_a_documented_exit(
+        witness_envelopes, tmp_path_factory, data):
+    envelope = json.loads(json.dumps(
+        data.draw(st.sampled_from(witness_envelopes))))
+    path = tmp_path_factory.getbasetemp() / "fuzzed-witness.json"
+    path.write_text(mutated(data, envelope), encoding="utf-8")
+    code, _, err = run_captured(["verify", str(path)])
+    assert_documented_exit(code, err)

@@ -20,9 +20,13 @@ from ordpigeon.oracle import (
     finite_arrow_check,
     mr_sum_bruteforce_check,
 )
+from ordpigeon.selftest import _random_mr_bound
+from ordpigeon.witness import NatsumSplitter
 from ordpigeon.ordinal import (
     ONE,
     OMEGA,
+    OMEGA1,
+    Ordinal,
     ZERO,
     ZeroInput,
     add,
@@ -173,6 +177,57 @@ def test_mr_check_tamper():
 def test_mr_check_validation():
     with pytest.raises(ZeroInput):
         mr_sum_bruteforce_check([w, ZERO], w, 5)
+    for count in (-1, 2.0, True, "3", None):
+        with pytest.raises(ValueError, match="sample_count"):
+            mr_sum_bruteforce_check([2, 3], 4, count)
+    assert mr_sum_bruteforce_check([2, 3], 4, 0) is True
+
+
+def old_samples_below(bounds, candidate, sample_count):
+    """The draws of Random(1729) as the kernel's operations build them,
+    those below the candidate."""
+    pool = sorted({ZERO} | {e for x in [candidate, *bounds]
+                            for e, _ in x.monomials})
+    rng = random.Random(1729)
+    out = []
+    for _ in range(sample_count):
+        a, b, c = rng.choice(pool), rng.randint(1, 5), rng.randint(0, 4)
+        delta = add(mul(omega_pow(a), from_int(b)), from_int(c))
+        if delta < candidate:
+            out.append(delta)
+    return out
+
+
+def test_mr_check_asks_the_old_samples_once_each(monkeypatch):
+    asked, splits = [], NatsumSplitter.splits
+
+    def recording(self, delta):
+        asked.append(delta)
+        return splits(self, delta)
+
+    monkeypatch.setattr(NatsumSplitter, "splits", recording)
+    rng = random.Random(404)  # criterion 4's draws
+    lists = [[add(w, 1), add(w, 1)], [add(wp(2), w), ONE],
+             [mul(w, 2), wp(OMEGA1), from_int(3)],
+             [add(wp(add(w, 1)), 2), mul(wp(w), 2), from_int(3)],
+             *([_random_mr_bound(rng), _random_mr_bound(rng)]
+               for _ in range(200))]
+    for bounds in lists:
+        candidate = mr_sum(bounds)
+        asked.clear()
+        assert mr_sum_bruteforce_check(bounds, candidate, 50)
+        ms = candidate.monomials
+        probes = [candidate]
+        probes += map(from_int, range(min(int(candidate), 50)
+                                      if candidate.is_finite() else 50))
+        probes += [Ordinal(ms[:j] + (((e, c - 1),) if c > 1 else ())
+                           + ms[j + 1:]) for j, (e, c) in enumerate(ms)]
+        samples = old_samples_below(bounds, candidate, 50)
+        # the probes in order, then each distinct sample once
+        assert asked[:len(probes)] == probes
+        drawn = asked[len(probes):]
+        assert len(set(drawn)) == len(drawn)
+        assert set(asked) == set(probes) | set(samples)
 
 
 # -- closed-formula cross-checks -----------------------------------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordpigeon import witness
+from ordpigeon import cli, witness
 from ordpigeon.engine import (
     Exists,
     Instance,
@@ -177,6 +177,41 @@ def test_one_splitter_answers_every_delta(deltas, bounds):
             want = first_splitting(d, bounds)
             assert splitter.parts(d) == want
             assert splitter.splits(d) is (want is not None)
+
+
+def test_a_part_with_no_room_at_the_last_position_is_a_dead_end():
+    # a part below w_1 must get below it at the last position, so its room
+    # there is one less than its coefficient 0 at w^(w+1): no share fits
+    assert NatsumSplitter([w1, w1]).parts(add(w1, wp(add(w, 1)))) is None
+
+
+def test_a_search_deeper_than_the_recursion_limit():
+    # k parts below w+2 over two positions: each takes one w while there
+    # are w's left, then one 1 while there are 1's left, and the part with
+    # no w takes what is left of the 1's
+    k = sys.getrecursionlimit() // 2 + 10
+    splitter = NatsumSplitter([add(w, 2)] * k)
+    for m in (1, k // 2, k - 1, 3 * k):
+        ones = min(m, k - 1)
+        want = [add(w, 1)] * ones + [w] * (k - 1 - ones) + [from_int(m - ones)]
+        assert splitter.parts(add(mul(w, k - 1), m)) == want
+    assert splitter.parts(add(mul(w, k), k)) == [add(w, 1)] * k
+    assert splitter.parts(add(mul(w, k), k + 1)) is None
+
+
+def test_the_most_colours_over_four_rank_positions_build_and_verify(
+        tmp_path, capsys):
+    # 256 colours whose levels split a rank of four monomials
+    rank = "w^3+w^2+w+1"
+    beta = wp(add(wp(3), add(wp(2), add(w, 1))))
+    norm, col, certs = built(beta, add(beta, 1), (2, 255))
+    assert col.colours == witness.MAX_COLOURS
+    assert verify_certificates(col, norm, certs)
+    args = [f"w^({rank})", f"w^({rank})+1", "2:255"]
+    assert cli.run(["witness", *args, "--json"]) == 0
+    path = tmp_path / "wit.json"
+    path.write_text(capsys.readouterr().out)
+    assert cli.run(["verify", str(path)]) == 0
 
 
 @pytest.mark.parametrize("bounds", [
