@@ -8,7 +8,11 @@ evidence rather than tautology; nothing here calls mr_sum or natural_sum.
 Each Milner-Rado scan asks one witness.NatsumSplitter, kept for that
 scan only, yes or no per candidate.  The Milner-Rado check builds what
 it asks as normal forms with the kernel's unchecked builder, with no
-arithmetic, and asks each distinct seeded draw once.
+arithmetic, and asks each distinct seeded draw once.  Its finite probes
+0..49 are built once at import, and its seeded draws, which depend only
+on the exponent pool's size and the sample count, are kept as (pool
+index, b, c) ints in a small LRU; no answer, splitter or table of merged
+bounds outlives a scan.
 
 Enumerations are ascending by construction: with exponents descending
 and coefficients rising, product order is ordinal order.
@@ -19,9 +23,9 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 from itertools import product
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .engine import Exists, Instance, p_top
 from .ordinal import (
@@ -171,11 +175,39 @@ def _step_down(x: Ordinal) -> List[Ordinal]:
     return out
 
 
+# the finite probes n < 50 of the Milner-Rado check, built once
+_FINITE_PROBES = tuple(_build(((ZERO, n),) if n else ()) for n in range(50))
+
+
+@lru_cache(maxsize=32)
+def _seeded_draws(pool_size: int,
+                  sample_count: int) -> Tuple[Tuple[int, int, int], ...]:
+    # the distinct draws w^a*b + c of Random(1729) as (pool index, b, c),
+    # in first-draw order.  Index 0 is ZERO, the least of the sorted
+    # pool: a finite draw b + c < 50 is among the finite probes when it is
+    # below the candidate.  There are 25 triples per other index, so the
+    # draws stop once all of them are seen
+    rng = random.Random(1729)
+    indices = range(pool_size)
+    seen: Dict[Tuple[int, int, int], None] = {}
+    for _ in range(sample_count):
+        if len(seen) == 25 * (pool_size - 1):
+            break
+        i = rng.choice(indices)
+        b = rng.randint(1, 5)
+        c = rng.randint(0, 4)
+        if i:
+            seen[i, b, c] = None
+    return tuple(seen)
+
+
 def mr_sum_bruteforce_check(bounds_list, candidate, sample_count: int) -> bool:
     """Exact non-expressibility of the candidate, plus expressibility of
     everything sampled below it: all ordinals below min(candidate, 50),
     the candidate's one-step-down neighbours, and sample_count seeded
-    draws of the form w^a*b + c, each asked once."""
+    draws of the form w^a*b + c, each distinct one asked once.  The
+    draws are made once per exponent pool size and sample count and kept
+    as pool positions; the ordinals asked are built per call."""
     if type(sample_count) is not int or sample_count < 0:
         raise ValueError(f"sample_count must be an int >= 0, "
                          f"not {sample_count!r}")
@@ -186,8 +218,8 @@ def mr_sum_bruteforce_check(bounds_list, candidate, sample_count: int) -> bool:
         return False
 
     small = int(candidate) if candidate.is_finite() else 50
-    for n in range(min(small, 50)):
-        if not splitter.splits(_build(((ZERO, n),) if n else ())):
+    for probe in _FINITE_PROBES[:small]:
+        if not splitter.splits(probe):
             return False
 
     for probe in _step_down(candidate):
@@ -196,18 +228,8 @@ def mr_sum_bruteforce_check(bounds_list, candidate, sample_count: int) -> bool:
 
     exp_pool = sorted({ZERO} | {
         e for x in [candidate, *bounds_list] for e, _ in x.monomials})
-    rng = random.Random(1729)
-    asked = set()
-    for _ in range(sample_count):
-        a = rng.choice(exp_pool)
-        b = rng.randint(1, 5)
-        c = rng.randint(0, 4)
-        # a finite draw b + c < 50 is among the finite probes when it is
-        # below the candidate
-        key = (id(a), b, c)
-        if not a.monomials or key in asked:
-            continue
-        asked.add(key)
+    for i, b, c in _seeded_draws(len(exp_pool), sample_count):
+        a = exp_pool[i]
         delta = _build(((a, b), (ZERO, c)) if c else ((a, b),))
         if compare(delta, candidate) < 0 and not splitter.splits(delta):
             return False

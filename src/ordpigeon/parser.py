@@ -91,13 +91,19 @@ class _Scanner:
         return self.pos >= len(self.text)
 
     def nat(self) -> int:
+        # ascii digits only: str.isdigit also takes '²' and '٣'
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             self.fail("expected a number, 'w' or 'w_'")
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # longer than int()'s digit limit
+            raise OrdinalSyntaxError(
+                f"number of {self.pos - start} digits is too long",
+                self.text, start) from None
 
     def fail(self, message: str):
         raise OrdinalSyntaxError(message, self.text, self.pos)

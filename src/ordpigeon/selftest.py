@@ -81,11 +81,24 @@ class CriterionResult:
                 f"({self.elapsed:.2f}s, budget {self.limit:g}s)")
 
 
+class _LawFailed(Exception):
+    """A checked law does not hold; its text names the law and operands."""
+
+
+def _check(holds: bool, law: str, **operands) -> None:
+    # a plain test and raise, which python -O does not strip
+    if not holds:
+        at = ", ".join(f"{name}={value}" for name, value in operands.items())
+        raise _LawFailed(f"{law} failed at {at}" if at else f"{law} failed")
+
+
 def _run(number: int, title: str, limit: float,
          grid: Callable[[], Tuple[bool, str]]) -> CriterionResult:
     start = time.monotonic()
     try:
         ok, detail = grid()
+    except _LawFailed as exc:
+        ok, detail = False, str(exc)
     except Exception as exc:  # a crash is a failure, not an abort
         ok, detail = False, f"raised {type(exc).__name__}: {exc}"
     elapsed = time.monotonic() - start
@@ -369,8 +382,10 @@ def criterion_7() -> CriterionResult:
         for inst in instances:
             norm = normalize(inst)
             result = p_top(inst)
-            assert isinstance(norm, NormalizedInstance)
-            assert isinstance(result, Exists)
+            _check(isinstance(norm, NormalizedInstance),
+                   "normalize(inst) is a NormalizedInstance", inst=inst)
+            _check(isinstance(result, Exists), "p_top(inst) is Exists",
+                   inst=inst)
             beta = _maximal_failing(result.value)
             col, certs = build_counterexample(beta, norm)
             if not verify_certificates(col, norm, certs):
@@ -491,47 +506,71 @@ def _algebra_suite(iterations: int) -> Tuple[bool, str]:
         a = _random_countable(rng)
         b = _random_countable(rng)
         c = _random_countable(rng)
-        assert add(add(a, b), c) == add(a, add(b, c))
-        assert add(a, ZERO) == a and add(ZERO, a) == a
-        assert compare(a, add(a, b)) <= 0
-        assert left_subtract(a, add(a, b)) == b
-        assert mul(mul(a, b), c) == mul(a, mul(b, c))
-        assert mul(a, ONE) == a and mul(ONE, a) == a
-        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
-        assert natural_sum(a, b) == natural_sum(b, a)
-        assert natural_sum(natural_sum(a, b), c) == \
-            natural_sum(a, natural_sum(b, c))
-        assert natural_sum(a, b) >= add(a, b)
+        _check(add(add(a, b), c) == add(a, add(b, c)),
+               "(a+b)+c == a+(b+c)", a=a, b=b, c=c)
+        _check(add(a, ZERO) == a and add(ZERO, a) == a,
+               "a+0 == a == 0+a", a=a)
+        _check(compare(a, add(a, b)) <= 0, "a <= a+b", a=a, b=b)
+        _check(left_subtract(a, add(a, b)) == b,
+               "left_subtract(a, a+b) == b", a=a, b=b)
+        _check(mul(mul(a, b), c) == mul(a, mul(b, c)),
+               "(a*b)*c == a*(b*c)", a=a, b=b, c=c)
+        _check(mul(a, ONE) == a and mul(ONE, a) == a,
+               "a*1 == a == 1*a", a=a)
+        _check(mul(a, add(b, c)) == add(mul(a, b), mul(a, c)),
+               "a*(b+c) == a*b+a*c", a=a, b=b, c=c)
+        _check(natural_sum(a, b) == natural_sum(b, a),
+               "natural_sum(a, b) == natural_sum(b, a)", a=a, b=b)
+        _check(natural_sum(natural_sum(a, b), c)
+               == natural_sum(a, natural_sum(b, c)),
+               "natural_sum(natural_sum(a, b), c) == "
+               "natural_sum(a, natural_sum(b, c))", a=a, b=b, c=c)
+        _check(natural_sum(a, b) >= add(a, b),
+               "natural_sum(a, b) >= a+b", a=a, b=b)
         bigger = add(b, rng.randint(1, 3))
-        assert natural_sum(a, b) < natural_sum(a, bigger)
+        _check(natural_sum(a, b) < natural_sum(a, bigger),
+               "natural_sum(a, b) < natural_sum(a, bigger)",
+               a=a, b=b, bigger=bigger)
         g = _random_countable(rng, 1)
         m = rng.randint(1, 4)
-        assert cb_rank(mul(omega_pow(g), m)) == g
+        _check(cb_rank(mul(omega_pow(g), m)) == g,
+               "cb_rank(w^g*m) == g", g=g, m=m)
         if not a.is_zero():
-            assert cb_rank(a) <= a.leading_exponent()
+            _check(cb_rank(a) <= a.leading_exponent(),
+                   "cb_rank(a) <= leading exponent of a", a=a)
         if a > ONE:
-            assert cofinality(cofinality(a)) == cofinality(a)
+            _check(cofinality(cofinality(a)) == cofinality(a),
+                   "cofinality(cofinality(a)) == cofinality(a)", a=a)
         if not a.is_zero():
             canon = biembed_canonical(a)
-            assert biembed_canonical(canon) == canon and canon <= a
+            _check(biembed_canonical(canon) == canon and canon <= a,
+                   "biembed_canonical(a) is a fixed point at most a", a=a)
             ga, ma, _ = leading_decomposition(a)
             gc, mc, _ = leading_decomposition(canon)
-            assert (ga, ma) == (gc, mc)
+            _check((ga, ma) == (gc, mc),
+                   "biembed_canonical(a) keeps the leading g and m", a=a)
             ms = a.monomials
             syntactic = (a.is_finite()
                          or (len(ms) == 1 and ms[0][1] == 1)
                          or (len(ms) == 2 and ms[1] == (ZERO, 1)))
-            assert is_order_reinforcing(a) == syntactic
+            _check(is_order_reinforcing(a) == syntactic,
+                   "is_order_reinforcing(a) == its syntactic test", a=a)
         parts = [x for x in (a, b, c) if not x.is_zero()] or [ONE]
         v = mr_sum(parts)
         shuffled = parts[:]
         rng.shuffle(shuffled)
-        assert mr_sum(shuffled) == v
-        assert mr_sum(parts + [ONE]) == v
+        _check(mr_sum(shuffled) == v, "mr_sum(shuffled) == mr_sum(parts)",
+               parts=parts, shuffled=shuffled)
+        _check(mr_sum(parts + [ONE]) == v,
+               "mr_sum(parts + [1]) == mr_sum(parts)", parts=parts)
         if i % 25 == 0:
-            assert natsum_expressible(v, parts) is None
+            _check(natsum_expressible(v, parts) is None,
+                   "mr_sum(parts) is no natural sum below parts",
+                   parts=parts, v=v)
             if (down := _predecessor(v)) is not None:
-                assert natsum_expressible(down, parts) is not None
+                _check(natsum_expressible(down, parts) is not None,
+                       "the predecessor of mr_sum(parts) is a natural sum "
+                       "below parts", parts=parts, down=down)
     return True, f"{iterations} random draws over the arithmetic laws"
 
 
@@ -545,59 +584,86 @@ def _case_tree_suite(iterations: int) -> Tuple[bool, str]:
         analysis = analyze(inst)
         cases_seen.add(analysis.case)
         base = analysis.result
-        assert isinstance(base, (Exists, Infinite, Independent))
+        _check(isinstance(base, (Exists, Infinite, Independent)),
+               "p_top(inst) is Exists, Infinite or Independent",
+               inst=inst, base=base)
 
         padded = Instance.of(*entries, (ONE, Cardinal.aleph(0)))
-        assert p_top(padded) == base
+        _check(p_top(padded) == base,
+               "p_top(inst + 1 x aleph_0) == p_top(inst)", inst=inst, base=base)
 
         shuffled = entries[:]
         rng.shuffle(shuffled)
-        assert p_top(Instance.of(*shuffled)) == base
+        _check(p_top(Instance.of(*shuffled)) == base,
+               "p_top(shuffled entries) == p_top(inst)",
+               inst=inst, shuffled=shuffled)
 
         canon = Instance.of(*((biembed_canonical(t), c) for t, c in entries))
-        assert p_top(canon) == base
+        _check(p_top(canon) == base,
+               "p_top(biembed_canonical targets) == p_top(inst)",
+               inst=inst, canon=canon)
 
         j = rng.randrange(len(entries))
         t_j = entries[j][0]
         raised_entries = list(entries)
         raised_entries[j] = (_raise_target(rng, t_j), entries[j][1])
-        assert raised_entries[j][0] > t_j
+        _check(raised_entries[j][0] > t_j, "a raised target is larger",
+               target=t_j, raised=raised_entries[j][0])
         raised = p_top(Instance.of(*raised_entries))
-        assert _verdict_le(base, raised), (inst, base, raised)
+        _check(_verdict_le(base, raised),
+               "raising a target does not lower p_top",
+               inst=inst, base=base, raised=raised)
 
         if analysis.case in (CasePath.C6a, CasePath.C6b,
                              CasePath.C6cI, CasePath.C6cII):
-            assert isinstance(base, Exists) and _c6_shape_ok(base.value)
+            _check(isinstance(base, Exists) and _c6_shape_ok(base.value),
+                   "a C6 value is w^g*m or w^g*m+1", inst=inst, base=base)
 
         if isinstance(base, Exists):
-            assert relation_holds(base.value, inst) is RelationVerdict.HOLDS
+            _check(relation_holds(base.value, inst) is RelationVerdict.HOLDS,
+                   "the relation holds at p_top", inst=inst, base=base)
             above = add(base.value, rng.randint(1, 5))
-            assert relation_holds(above, inst) is RelationVerdict.HOLDS
+            _check(relation_holds(above, inst) is RelationVerdict.HOLDS,
+                   "the relation holds above p_top", inst=inst, above=above)
             below = _predecessor(base.value)
             if below is None:
                 below = ONE if base.value > ONE else None
             if below is not None:
-                assert relation_holds(below, inst) is RelationVerdict.FAILS
+                _check(relation_holds(below, inst) is RelationVerdict.FAILS,
+                       "the relation fails below p_top",
+                       inst=inst, below=below)
         elif isinstance(base, Infinite):
-            assert relation_holds(OMEGA2, inst) is RelationVerdict.FAILS
+            _check(relation_holds(OMEGA2, inst) is RelationVerdict.FAILS,
+                   "the relation fails at w_2 when p_top is Infinite",
+                   inst=inst)
         else:
-            assert relation_holds(OMEGA1, inst) is RelationVerdict.FAILS
-            assert relation_holds(base.zfc_lower, inst) is \
-                RelationVerdict.INDEPENDENT_UNKNOWN
+            _check(relation_holds(OMEGA1, inst) is RelationVerdict.FAILS,
+                   "the relation fails at w_1 when p_top is Independent",
+                   inst=inst)
+            _check(relation_holds(base.zfc_lower, inst)
+                   is RelationVerdict.INDEPENDENT_UNKNOWN,
+                   "the relation is independent at the ZFC lower bound",
+                   inst=inst, base=base)
 
         if i % 8 == 0:
             exps = [e if e > ZERO else ONE
                     for e in (_random_countable(rng, 1),
                               _random_countable(rng, 1))]
             powers = Instance.of(*((omega_pow(e), 1) for e in exps))
-            assert p_top(powers) == Exists(omega_pow(p_ord(exps)))
+            _check(p_top(powers) == Exists(omega_pow(p_ord(exps))),
+                   "p_top(w^e for e in exps) == w^p_ord(exps)", exps=exps)
             succs = Instance.of(*((add(omega_pow(e), 1), 1) for e in exps))
-            assert p_top(succs) == Exists(add(omega_pow(natural_sum(*exps)), 1))
+            _check(p_top(succs) == Exists(add(omega_pow(natural_sum(*exps)),
+                                              1)),
+                   "p_top(w^e+1 for e in exps) == w^natural_sum(exps)+1",
+                   exps=exps)
 
         if i % 50 == 0:
             degenerate = Instance.of((ZERO, 1), (OMEGA1, 2))
-            assert p_top(degenerate) == Exists(ZERO)
-            assert p_top(Instance.of((ONE, Cardinal.aleph(1)))) == Exists(ONE)
+            _check(p_top(degenerate) == Exists(ZERO),
+                   "p_top with a zero target is 0")
+            _check(p_top(Instance.of((ONE, Cardinal.aleph(1)))) == Exists(ONE),
+                   "p_top(1 x aleph_1) is 1")
     return True, f"{iterations} random instances; {len(cases_seen)} leaves hit"
 
 

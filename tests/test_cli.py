@@ -264,6 +264,20 @@ def test_overdeep_nesting_is_a_usage_error(capsys):
     assert len(err) < 2 * EXCERPT + 60
 
 
+def test_numerals_outside_ascii_or_the_digit_limit_are_usage_errors(capsys):
+    long = "9" * 5000
+    for argv, excerpt in [(["w^\u00b2"], "'w^\u00b2'"),
+                          (["\u0663"], "'\u0663'"),
+                          ([long], repr(long[:EXCERPT])),
+                          (["w:" + long], repr(long[:EXCERPT])),
+                          (["w^2*" + long], repr(("w^2*" + long)[:EXCERPT]))]:
+        assert run(["ptop", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert " at column " in err and err.endswith(f" in {excerpt}\n")
+        assert "Traceback" not in err and "int()" not in err
+
+
 def loaded_after(statement, *modules):
     """Which of modules a fresh interpreter has loaded after statement;
     -S keeps site hooks from preloading any of them."""

@@ -214,20 +214,28 @@ def test_mr_check_asks_the_old_samples_once_each(monkeypatch):
                for _ in range(200))]
     for bounds in lists:
         candidate = mr_sum(bounds)
-        asked.clear()
-        assert mr_sum_bruteforce_check(bounds, candidate, 50)
         ms = candidate.monomials
         probes = [candidate]
         probes += map(from_int, range(min(int(candidate), 50)
                                       if candidate.is_finite() else 50))
         probes += [Ordinal(ms[:j] + (((e, c - 1),) if c > 1 else ())
                            + ms[j + 1:]) for j, (e, c) in enumerate(ms)]
-        samples = old_samples_below(bounds, candidate, 50)
-        # the probes in order, then each distinct sample once
+        # the draws are kept per pool size and count: each count is its own
+        for count in (0, 1, 7, 50, 500):
+            asked.clear()
+            assert mr_sum_bruteforce_check(bounds, candidate, count)
+            samples = old_samples_below(bounds, candidate, count)
+            # the probes in order, then each distinct sample once
+            assert asked[:len(probes)] == probes
+            drawn = asked[len(probes):]
+            assert len(set(drawn)) == len(drawn)
+            assert set(asked) == set(probes) | set(samples)
+        # w^a*b + c takes 25 values per non-zero pool exponent a
+        pool = {ZERO} | {e for x in [candidate, *bounds] for e, _ in x.monomials}
+        asked.clear()
+        assert mr_sum_bruteforce_check(bounds, candidate, 5000)
         assert asked[:len(probes)] == probes
-        drawn = asked[len(probes):]
-        assert len(set(drawn)) == len(drawn)
-        assert set(asked) == set(probes) | set(samples)
+        assert len(asked) - len(probes) <= 25 * (len(pool) - 1)
 
 
 # -- closed-formula cross-checks -----------------------------------------------

@@ -80,6 +80,32 @@ def test_syntax_errors_carry_position():
                 "w_", "x", "w **2"]:
         with pytest.raises(OrdinalSyntaxError):
             parse_ordinal(bad)
+    # numerals are ascii: str.isdigit also takes superscripts and the
+    # digits of other scripts
+    for text, position in [("w^\u00b2", 2), ("\u0663", 0), ("w*\u0663", 2),
+                           ("w_\uff11", 2), ("w+1\u00b9", 3)]:
+        with pytest.raises(OrdinalSyntaxError) as info:
+            parse_ordinal(text)
+        assert info.value.position == position
+    for text in ["\u00b2", "\u0663", "aleph_\u0661"]:
+        with pytest.raises(OrdinalSyntaxError):
+            parse_cardinal(text)
+
+
+def test_a_numeral_past_the_digit_limit_is_a_syntax_error():
+    # int() refuses more digits than sys.get_int_max_str_digits() allows
+    long = "9" * 5000
+    for text, position in [(long, 0), ("w^2*" + long, 4), ("w+" + long, 2),
+                           ("w^(" + long + ")", 3)]:
+        with pytest.raises(OrdinalSyntaxError) as info:
+            parse_ordinal(text)
+        assert info.value.position == position
+        assert "5000 digits" in str(info.value)
+        assert len(str(info.value)) < 2 * EXCERPT + 60
+    with pytest.raises(OrdinalSyntaxError) as info:
+        parse_cardinal(long)
+    assert info.value.position == 0
+    assert parse_ordinal("9" * 4000) == from_int(int("9" * 4000))
 
 
 def test_nesting_beyond_the_limit_is_a_syntax_error():
