@@ -33,7 +33,6 @@ from .ordinal import (
     _coerce,
     _coerce_card,
     _merge,
-    _set_values,
     add,
     biembed_canonical,
     cardinal_sum,
@@ -59,7 +58,7 @@ class PowerOfOmegaInput(ValueError):
 class Instance(Record):
     """Targets with multiplicities.  Multiplicities are positive cardinals."""
 
-    # _analysis, kept by the first analyze(self), follows the field slots
+    # _analysis is a memo, kept by the first analyze(self)
     __slots__ = ("entries", "_analysis")
 
     def __init__(self, entries: Tuple[Tuple[Ordinal, Cardinal], ...]):
@@ -71,9 +70,7 @@ class Instance(Record):
         for _, count in entries:
             if count.is_finite() and count.size < 1:
                 raise EmptyInstance("multiplicities must be at least 1")
-        _set_values(self, (entries,))
-        _set_instance_entries(self, entries)
-        _set_analysis(self, None)
+        self._init(entries, None)
 
     @staticmethod
     def of(*entries) -> "Instance":
@@ -87,17 +84,14 @@ class NormalizedInstance(Record):
     __slots__ = ("entries", "kappa")
 
     def __init__(self, entries, kappa: Cardinal):
-        _set_values(self, (entries, kappa))
-        _set_entries(self, entries)
-        _set_kappa(self, kappa)
+        self._init(entries, kappa)
 
 
 class Exists(Record):
     __slots__ = ("value",)
 
     def __init__(self, value: Ordinal):
-        _set_values(self, (value,))
-        _set_value(self, value)
+        self._init(value)
 
     def __repr__(self):
         return f"Exists({self.value})"
@@ -107,9 +101,6 @@ class Infinite(Record):
     """No ordinal satisfies the relation; this is provable outright."""
 
     __slots__ = ()
-
-    def __init__(self):
-        _set_values(self, ())
 
     def __repr__(self):
         return "Infinite"
@@ -138,12 +129,8 @@ class Independent(Record):
     def __init__(self, zfc_lower, consistent_infinite=NOTE_CONSISTENT_INFINITE,
                  consistent_equal_lower=NOTE_CONSISTENT_EQUAL,
                  equiconsistency=NOTE_EQUICONSISTENCY):
-        _set_values(self, (zfc_lower, consistent_infinite,
-                        consistent_equal_lower, equiconsistency))
-        _set_zfc_lower(self, zfc_lower)
-        _set_consistent_infinite(self, consistent_infinite)
-        _set_consistent_equal_lower(self, consistent_equal_lower)
-        _set_equiconsistency(self, equiconsistency)
+        self._init(zfc_lower, consistent_infinite, consistent_equal_lower,
+              equiconsistency)
 
     def __repr__(self):
         return f"Independent(zfc_lower={self.zfc_lower})"
@@ -223,24 +210,8 @@ class Analysis(Record):
 
     def __init__(self, case, trail, result, normalized, decompositions=None,
                  distinguished=None):
-        _set_values(self, (case, trail, result, normalized, decompositions,
-                        distinguished))
-        _set_case(self, case)
-        _set_trail(self, trail)
-        _set_result(self, result)
-        _set_normalized(self, normalized)
-        _set_decompositions(self, decompositions)
-        _set_distinguished(self, distinguished)
-
-
-# the records' slot writers, which skip the immutability guard
-_set_instance_entries, _set_analysis = Instance._writers()
-_set_entries, _set_kappa = NormalizedInstance._writers()
-(_set_value,) = Exists._writers()
-(_set_zfc_lower, _set_consistent_infinite, _set_consistent_equal_lower,
- _set_equiconsistency) = Independent._writers()
-(_set_case, _set_trail, _set_result, _set_normalized, _set_decompositions,
- _set_distinguished) = Analysis._writers()
+        self._init(case, trail, result, normalized, decompositions,
+              distinguished)
 
 
 def _copies(norm: NormalizedInstance, floor: Ordinal) -> int:
@@ -425,7 +396,7 @@ def analyze(inst: Instance) -> Analysis:
             a = Analysis(CasePath.ZERO, ("some target is 0",), norm, None)
         else:
             a = Analysis(CasePath.ALL_ONES, ("every target is 1",), norm, None)
-        _set_analysis(inst, a)
+        Instance._analysis.__set__(inst, a)  # past the immutability guard
     return a
 
 

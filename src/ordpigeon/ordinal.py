@@ -455,10 +455,13 @@ def p_ord(targets: Sequence[Union[Ordinal, int]]) -> Ordinal:
 
 
 class Record:
-    """Immutable record: a subclass names its fields in __slots__ and its
-    __init__ writes them through the slots' writers, as _build does,
-    plus _values, the fields in slot order, which equality (same type
-    too), hash and a dataclass-style repr read.  It keeps dataclasses
+    """Immutable record: a subclass names its slots in __slots__, each
+    value stored once, in its slot.  A slot named with a leading
+    underscore is a memo (Instance._analysis); the others are the fields,
+    which equality (same type too), hash, pickling and a dataclass-style
+    repr read, so each __init__ takes its fields positionally in slot
+    order.  Each __init__ keeps its own checks and ends in one
+    self._init(...) call that writes every slot.  It keeps dataclasses
     (and the inspect, ast and dis it loads) off the CLI's start-up.
     RankColouring, ObstructionCertificate and EnumerationBounds stay
     dataclasses: the self-test, the tests and the benchmark tamper with
@@ -466,37 +469,42 @@ class Record:
     verify subcommands load their modules.
     """
 
-    __slots__ = ("_values",)
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        slots = cls.__slots__
+        cls._fields = tuple(n for n in slots if not n.startswith("_"))
+        # _init(self, *slots) calls each slot's own writer, which skips the
+        # guard in __setattr__.  It is compiled once per class, so that a
+        # constructor pays one call and no loop over the slots.
+        scope = {"_set_" + n: getattr(cls, n).__set__ for n in slots}
+        writes = "; ".join(f"_set_{n}(self, {n})" for n in slots) or "pass"
+        exec(f"def _init({', '.join(('self',) + slots)}): {writes}", scope)
+        cls._init = scope["_init"]
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     __delattr__ = __setattr__
 
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
     def __eq__(self, other):
         if type(other) is type(self):
-            return self._values == other._values
+            return self._astuple() == other._astuple()
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._values)
+        return hash(self._astuple())
 
     def __reduce__(self):
-        # each subclass's __init__ takes its fields in slot order
-        return type(self), self._values
+        return type(self), self._astuple()
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value
-                           in zip(self.__slots__, self._values))
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
-
-    @classmethod
-    def _writers(cls) -> tuple:
-        """The writers of the subclass's slots, in slot order."""
-        return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
-
-
-_set_values = Record._values.__set__
 
 
 class Cardinal(Record):
@@ -505,14 +513,18 @@ class Cardinal(Record):
     __slots__ = ("aleph_index", "size")
 
     def __init__(self, aleph_index: Optional[Ordinal] = None, size: int = 0):
-        _set_values(self, (aleph_index, size))
-        _set_aleph_index(self, aleph_index)
-        _set_size(self, size)
+        if type(size) is not int:
+            raise TypeError(f"size {size!r} is not an int")
+        if aleph_index is not None and not isinstance(aleph_index, Ordinal):
+            raise TypeError(f"aleph index {aleph_index!r} is not an Ordinal")
+        if size < 0:
+            raise ValueError("cardinals are non-negative")
+        if size and aleph_index is not None:
+            raise ValueError(f"an aleph has size 0, not {size}")
+        self._init(aleph_index, size)
 
     @staticmethod
     def finite(n: int) -> "Cardinal":
-        if n < 0:
-            raise ValueError("cardinals are non-negative")
         return Cardinal(None, n)
 
     @staticmethod
@@ -554,9 +566,6 @@ class Cardinal(Record):
         if self.aleph_index is None:
             return str(self.size)
         return "aleph_" + _format_index(self.aleph_index)
-
-
-_set_aleph_index, _set_size = Cardinal._writers()
 
 
 def _coerce_card(x) -> Cardinal:

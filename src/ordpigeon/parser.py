@@ -22,7 +22,6 @@ from .ordinal import (
     OMEGA,
     Ordinal,
     Record,
-    _set_values,
     add,
     format_cnf,
     from_int,
@@ -56,13 +55,7 @@ class OrdinalExpression(Record):
     __slots__ = ("source", "value", "noncanonical")
 
     def __init__(self, source: str, value: Ordinal, noncanonical: bool):
-        _set_values(self, (source, value, noncanonical))
-        _set_source(self, source)
-        _set_value(self, value)
-        _set_noncanonical(self, noncanonical)
-
-
-_set_source, _set_value, _set_noncanonical = OrdinalExpression._writers()
+        self._init(source, value, noncanonical)
 
 
 class _Scanner:

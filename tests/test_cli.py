@@ -291,7 +291,7 @@ def loaded_after(statement, *modules):
 def test_import_leaves_selftest_unloaded():
     # a fresh interpreter: this one imported selftest at the top of the file
     unused = ("ordpigeon.selftest", "ordpigeon.oracle", "ordpigeon.witness",
-              "dataclasses", "json")
+              "dataclasses", "json", "inspect", "ast", "dis")
     assert loaded_after("import ordpigeon.cli", *unused) == \
         dict.fromkeys(unused, False)
     assert loaded_after("import ordpigeon.cli", "ordpigeon.engine") == \

@@ -406,6 +406,22 @@ def test_cardinal_sum_and_ordinal_view():
     assert Cardinal.finite(4).as_ordinal() == from_int(4)
 
 
+def test_cardinal_constructor_checks_its_fields():
+    # each was once accepted: an aleph with a size printed as aleph_1 but
+    # differed from Cardinal.aleph(1), and an index that is not an
+    # Ordinal failed later, in repr and analyze, with an AttributeError
+    bad = [(ValueError, (ONE, 5)), (ValueError, (None, -3)),
+           (TypeError, (None, True)), (TypeError, (1, 0)),
+           (TypeError, (None, 2.0))]
+    for error, fields in bad:
+        with pytest.raises(error):
+            Cardinal(*fields)
+    with pytest.raises(ValueError):
+        Cardinal.finite(-1)
+    assert Cardinal(ONE, 0) == Cardinal.aleph(1)
+    assert Cardinal(None, 0) == Cardinal.finite(0) == Cardinal()
+
+
 # -- formatting ----------------------------------------------------------------
 
 
