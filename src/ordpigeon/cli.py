@@ -1,16 +1,4 @@
-"""Command line front end.
-
-Subcommands:
-  ptop      pigeonhole number of an instance, with its case tag
-  pord      classical pigeonhole number of a target list
-  mrsum     Milner-Rado sum of a target list
-  natsum    natural (Hessenberg) sum
-  arith     add | mul | cmp on two ordinals
-  classify  structural facts about one ordinal
-  case      case tag plus the dispatch trail for an instance
-  witness   counterexample colouring below a given ordinal, as JSON
-  verify    recheck a witness file produced by `witness`
-  selftest  run the acceptance grids
+"""Command line front end; _SUBCOMMANDS lists the subcommands.
 
 Instances are entries of the form TARGET[:COUNT] where TARGET is an
 ordinal expression ("w^2*4+1", "w_1") and COUNT a cardinal ("3",
@@ -24,7 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .engine import (
     Analysis,
@@ -54,11 +42,7 @@ from .parser import (
     format_ordinal,
     parse_cardinal,
     parse_expression,
-    parse_ordinal,
 )
-
-if TYPE_CHECKING:
-    from .witness import ObstructionCertificate, RankColouring
 
 Envelope = dict
 Handler = Tuple[Envelope, List[str], int]
@@ -191,69 +175,10 @@ def _cmd_case(ns) -> Handler:
     return env, lines, 0
 
 
-def _serialize_witness(col: RankColouring,
-                       certs: Sequence[ObstructionCertificate],
-                       entries: Sequence[Tuple[Ordinal, Cardinal]]) -> dict:
-    def opt(x):
-        return None if x is None else format_cnf(x)
-    return {
-        "kind": "witness",
-        "domain": format_cnf(col.domain),
-        "mode": col.mode.value,
-        "rank_classes": [[[format_cnf(lo), format_cnf(hi)]
-                          for lo, hi in union]
-                         for union in col.rank_classes],
-        "top_point_colours": list(col.top_point_colours),
-        "zero_colour": col.zero_colour,
-        "certificates": [{
-            "colour": c.colour,
-            "kind": c.kind.value,
-            "claimed_target": format_cnf(c.claimed_target),
-            "level": opt(c.level),
-            "bound": c.bound,
-            "class_residual": opt(c.class_residual),
-            "target_residual": opt(c.target_residual),
-        } for c in certs],
-        "instance": [f"{format_cnf(t)}:{c!r}" for t, c in entries],
-    }
-
-
-def _deserialize_witness(result: dict):
-    from .witness import (CertKind, ColouringMode, ObstructionCertificate,
-                          RankColouring)
-
-    def opt(x):
-        return None if x is None else parse_ordinal(x)
-
-    def integer(x):  # JSON's 1.7, true and "1" are not colours or bounds
-        if type(x) is not int:
-            raise TypeError(f"{x!r} is not an integer")
-        return x
-    col = RankColouring(
-        domain=parse_ordinal(result["domain"]),
-        mode=ColouringMode(result["mode"]),
-        rank_classes=tuple(
-            tuple((parse_ordinal(lo), parse_ordinal(hi)) for lo, hi in union)
-            for union in result["rank_classes"]),
-        top_point_colours=tuple(map(integer, result["top_point_colours"])),
-        zero_colour=(None if result["zero_colour"] is None
-                     else integer(result["zero_colour"])))
-    certs = tuple(ObstructionCertificate(
-        colour=integer(c["colour"]),
-        kind=CertKind(c["kind"]),
-        claimed_target=parse_ordinal(c["claimed_target"]),
-        level=opt(c["level"]),
-        bound=None if c["bound"] is None else integer(c["bound"]),
-        class_residual=opt(c["class_residual"]),
-        target_residual=opt(c["target_residual"]),
-    ) for c in result["certificates"])
-    inst = _parse_instance(result["instance"])
-    return col, certs, inst
-
-
 def _cmd_witness(ns) -> Handler:
     # the witness layer is imported only by the two subcommands that use it
-    from .witness import build_counterexample, verify_certificates
+    from .witness import (build_counterexample, verify_certificates,
+                          witness_to_json)
     beta = _parse_operand(ns.beta)
     inst = _parse_instance(ns.entries)
     norm = normalize(inst)
@@ -262,7 +187,9 @@ def _cmd_witness(ns) -> Handler:
     col, certs = build_counterexample(beta, norm)
     if not verify_certificates(col, norm, tuple(certs)):
         raise ValueError("the built witness fails its own verification")
-    result = _serialize_witness(col, certs, norm.entries)
+    result = witness_to_json(col, certs)
+    # entries in the CLI's TARGET:COUNT syntax, read back by verify
+    result["instance"] = [f"{format_cnf(t)}:{c!r}" for t, c in norm.entries]
     env = _envelope("witness", [ns.beta] + list(ns.entries), result)
     fmt = _fmt(ns)
     lines = [f"domain {fmt(col.domain)}, mode {col.mode.value}, "
@@ -281,11 +208,13 @@ def _cmd_witness(ns) -> Handler:
 
 def _cmd_verify(ns) -> Handler:
     import json
-    from .witness import verify_certificates
+    from .witness import verify_certificates, witness_from_json
     with open(ns.file, "r", encoding="utf-8") as fh:
         envelope = json.load(fh)
     try:
-        col, certs, inst = _deserialize_witness(envelope["result"])
+        result = envelope["result"]
+        col, certs = witness_from_json(result)
+        inst = _parse_instance(result["instance"])
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"not a witness file: {exc}") from exc
     norm = normalize(inst)
@@ -319,6 +248,29 @@ def _cmd_selftest(ns) -> Handler:
     return env, lines, 0 if ok else 1
 
 
+_ENTRIES = ("entries", {"nargs": "+", "metavar": "TARGET[:COUNT]"})
+_ORDINALS = ("ordinals", {"nargs": "+", "metavar": "ORDINAL"})
+
+# name, help, handler, and each positional argument with its options
+_SUBCOMMANDS = (
+    ("ptop", "topological pigeonhole number", _cmd_ptop, [_ENTRIES]),
+    ("pord", "classical pigeonhole number", _cmd_sum,
+     [("ordinals", {"nargs": "+", "metavar": "TARGET"})]),
+    ("mrsum", "Milner-Rado sum", _cmd_sum, [_ORDINALS]),
+    ("natsum", "natural sum", _cmd_sum, [_ORDINALS]),
+    ("arith", "ordinal arithmetic", _cmd_arith,
+     [("operation", {"choices": ["add", "mul", "cmp"]}), ("a", {}), ("b", {})]),
+    ("classify", "structural facts about one ordinal", _cmd_classify,
+     [("ordinal", {})]),
+    ("case", "case dispatch with its reasoning trail", _cmd_case, [_ENTRIES]),
+    ("witness", "counterexample colouring below BETA", _cmd_witness,
+     [("beta", {"metavar": "BETA"}), _ENTRIES]),
+    ("verify", "recheck a witness file", _cmd_verify,
+     [("file", {"metavar": "WITNESS.json"})]),
+    ("selftest", "run the acceptance grids", _cmd_selftest, []),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
@@ -330,53 +282,11 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ordpigeon",
         description="pigeonhole numbers for ordinal topologies")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ptop", parents=[common],
-                       help="topological pigeonhole number")
-    p.add_argument("entries", nargs="+", metavar="TARGET[:COUNT]")
-    p.set_defaults(handler=_cmd_ptop)
-
-    p = sub.add_parser("pord", parents=[common],
-                       help="classical pigeonhole number")
-    p.add_argument("ordinals", nargs="+", metavar="TARGET")
-    p.set_defaults(handler=_cmd_sum)
-
-    for name, help_text in (("mrsum", "Milner-Rado sum"),
-                            ("natsum", "natural sum")):
+    for name, help_text, handler, arguments in _SUBCOMMANDS:
         p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("ordinals", nargs="+", metavar="ORDINAL")
-        p.set_defaults(handler=_cmd_sum)
-
-    p = sub.add_parser("arith", parents=[common], help="ordinal arithmetic")
-    p.add_argument("operation", choices=["add", "mul", "cmp"])
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(handler=_cmd_arith)
-
-    p = sub.add_parser("classify", parents=[common],
-                       help="structural facts about one ordinal")
-    p.add_argument("ordinal")
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser("case", parents=[common],
-                       help="case dispatch with its reasoning trail")
-    p.add_argument("entries", nargs="+", metavar="TARGET[:COUNT]")
-    p.set_defaults(handler=_cmd_case)
-
-    p = sub.add_parser("witness", parents=[common],
-                       help="counterexample colouring below BETA")
-    p.add_argument("beta", metavar="BETA")
-    p.add_argument("entries", nargs="+", metavar="TARGET[:COUNT]")
-    p.set_defaults(handler=_cmd_witness)
-
-    p = sub.add_parser("verify", parents=[common],
-                       help="recheck a witness file")
-    p.add_argument("file", metavar="WITNESS.json")
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("selftest", parents=[common],
-                       help="run the acceptance grids")
-    p.set_defaults(handler=_cmd_selftest)
+        for dest, options in arguments:
+            p.add_argument(dest, **options)
+        p.set_defaults(handler=handler)
     return parser
 
 

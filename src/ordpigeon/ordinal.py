@@ -114,7 +114,7 @@ class Ordinal:
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:  # not a bool
             other = from_int(other)
         return isinstance(other, Ordinal) and self.monomials == other.monomials
 
@@ -210,6 +210,8 @@ OMEGA = _build(((ONE, 1),))
 
 
 def from_int(n: int) -> Ordinal:
+    if type(n) is bool:
+        raise TypeError(f"{n!r} is a bool, not an ordinal")
     if n < 0:
         raise ValueError("ordinals are non-negative")
     return _build(((ZERO, n),)) if n else ZERO
@@ -423,7 +425,7 @@ def mr_sum_counted(entries: Sequence[Tuple[Union[Ordinal, int], int]]
         raise ZeroInput("at least one target is required")
     if any(r.is_zero() for r, _ in rows):
         raise ZeroInput("targets must be non-zero")
-    if not all(isinstance(c, int) and c >= 1 for _, c in rows):
+    if not all(type(c) is int and c >= 1 for _, c in rows):
         raise ZeroInput("counts must be integers of at least 1")
     sums: list = []
     last, t = rows[0][0].monomials[-1][0], 0

@@ -29,12 +29,17 @@ The verifier reads each part once; it walks the rank intervals up from
 Colours, bounds and top-point and zero colours are exact ints (no bool
 or float), ordinal fields and interval endpoints Ordinals or ints >= 0;
 anything else is rejected.
+
+A witness file holds witness_to_json's object: the keys are the field
+names of RankColouring and of each ObstructionCertificate, in field
+order, ordinals are strings in the ascii grammar (format_cnf), and the
+integer fields are JSON integers, read back as exact ints.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .engine import (
@@ -56,12 +61,14 @@ from .ordinal import (
     cb_rank,
     cofinality,
     compare,
+    format_cnf,
     from_int,
     is_power_of_omega,
     leading_decomposition,
     left_subtract,
     natural_sum,
 )
+from .parser import parse_ordinal
 
 
 class OutOfScope(ValueError):
@@ -73,11 +80,11 @@ class NotBelowThreshold(ValueError):
 
 
 class PreconditionViolated(ValueError):
-    pass
+    """Raised when interval or splitting arguments are malformed."""
 
 
 class OutOfDomain(ValueError):
-    pass
+    """Raised when a point lies outside the colouring's domain."""
 
 
 class ColouringMode(enum.Enum):
@@ -129,6 +136,62 @@ class ObstructionCertificate:
     bound: Optional[int] = None
     class_residual: Optional[Ordinal] = None
     target_residual: Optional[Ordinal] = None
+
+
+# -- the witness file -------------------------------------------------------------
+
+
+def _to_json(x):
+    # ints and None stay as they are
+    if isinstance(x, Ordinal):
+        return format_cnf(x)
+    if isinstance(x, enum.Enum):
+        return x.value
+    if isinstance(x, tuple):
+        return [_to_json(y) for y in x]
+    return x
+
+
+def witness_to_json(col: RankColouring, certs) -> dict:
+    """The witness file's object for a colouring and its certificates."""
+    doc = {"kind": "witness"}
+    doc.update((f.name, _to_json(getattr(col, f.name))) for f in fields(col))
+    doc["certificates"] = [{f.name: _to_json(getattr(c, f.name))
+                            for f in fields(c)} for c in certs]
+    return doc
+
+
+def witness_from_json(doc: dict):
+    """(colouring, certificates) read back from witness_to_json's object.
+    A missing key raises KeyError, a value of the wrong JSON type
+    TypeError or AttributeError, and an unparseable ordinal or unknown
+    mode or kind ValueError."""
+    def opt(x):
+        return None if x is None else parse_ordinal(x)
+
+    def integer(x):  # JSON's 1.7, true and "1" are not colours or bounds
+        if type(x) is not int:
+            raise TypeError(f"{x!r} is not an integer")
+        return x
+    col = RankColouring(
+        domain=parse_ordinal(doc["domain"]),
+        mode=ColouringMode(doc["mode"]),
+        rank_classes=tuple(
+            tuple((parse_ordinal(lo), parse_ordinal(hi)) for lo, hi in union)
+            for union in doc["rank_classes"]),
+        top_point_colours=tuple(map(integer, doc["top_point_colours"])),
+        zero_colour=(None if doc["zero_colour"] is None
+                     else integer(doc["zero_colour"])))
+    certs = tuple(ObstructionCertificate(
+        colour=integer(c["colour"]),
+        kind=CertKind(c["kind"]),
+        claimed_target=parse_ordinal(c["claimed_target"]),
+        level=opt(c["level"]),
+        bound=None if c["bound"] is None else integer(c["bound"]),
+        class_residual=opt(c["class_residual"]),
+        target_residual=opt(c["target_residual"]),
+    ) for c in doc["certificates"])
+    return col, certs
 
 
 # -- interval and derivative arithmetic ---------------------------------------
@@ -426,15 +489,20 @@ def _build_empty(beta, flat):
     return col, certs
 
 
+def _fill(order, caps, count) -> List[int]:
+    # the colours of count points: each colour in order takes up to its
+    # cap (None: no cap) of the points left
+    out: List[int] = []
+    for i in order:
+        room = count - len(out)
+        out += [i] * (room if caps[i] is None else min(caps[i], room))
+    assert len(out) == count, "failing relation guarantees enough room"
+    return out
+
+
 def _build_finite(beta, flat):
-    n = int(beta)
     caps = [int(t) - 1 if t.is_finite() else None for t in flat]
-    assignment: List[int] = []
-    for i, cap in enumerate(caps):
-        room = n - len(assignment)
-        take = room if cap is None else min(cap, room)
-        assignment.extend([i] * take)
-    assert len(assignment) == n, "failing relation guarantees enough room"
+    assignment = _fill(range(len(flat)), caps, int(beta))
     col = RankColouring(beta, ColouringMode.RANK, ((),) * len(flat),
                         tuple(assignment[1:]), assignment[0])
     # every point has rank 0, the point 0 among them
@@ -477,18 +545,10 @@ def _build_infinite(beta, facts, flat):
             for (b, mi, _), lvl in zip(decs, levels)]
     fixed = sum(c for c in caps if c is not None)
     if any(c is None for c in caps) or fixed >= top_count:
-        order = [i for i in range(k) if caps[i] is None] + \
-                [i for i in range(k) if caps[i] is not None]
-        assignment: List[int] = []
-        for i in order:
-            room = top_count - len(assignment)
-            if room == 0:
-                break
-            take = room if caps[i] is None else min(caps[i], room)
-            assignment.extend([i] * take)
-        assert len(assignment) == top_count
+        # the uncapped colours first
+        order = sorted(range(k), key=lambda i: caps[i] is not None)
+        tops = tuple(_fill(order, caps, top_count))
         classes = natsum_split(g, levels)
-        tops = tuple(assignment)
         col = RankColouring(beta, ColouringMode.RANK, tuple(classes),
                             tops, None)
         return col, _exception_certs(flat, levels, tops)
@@ -596,17 +656,17 @@ def verify_certificates(col: RankColouring, norm: NormalizedInstance,
     # exceptional points, before anything is recomputed
     for i, cert in enumerate(per):
         kind, n = cert.kind, exceptions[i]
-        fields = (cert.level is not None, cert.bound is not None,
-                  cert.class_residual is not None, cert.target_residual is not None)
+        given = (cert.level is not None, cert.bound is not None,
+                 cert.class_residual is not None, cert.target_residual is not None)
         if not (kind is CertKind.DERIVATIVE_EMPTY and n == 0
-                and fields == (True, False, False, False)
+                and given == (True, False, False, False)
                 or kind is CertKind.DERIVATIVE_SMALL and cert.bound == n > 0
                 and type(cert.bound) is int
-                and fields == (True, True, False, False)
+                and given == (True, True, False, False)
                 # all the top points, not the point 0
                 or kind is CertKind.DERIVATIVE_NOT_EMBEDDABLE
                 and n == top_count > 0 and zero != i and bool(classes[i])
-                and fields == (True, False, True, True)):
+                and given == (True, False, True, True)):
             return False
 
     # tiling: from 0, some colour's next interval starts where the last

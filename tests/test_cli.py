@@ -296,6 +296,10 @@ def test_import_leaves_selftest_unloaded():
         dict.fromkeys(unused, False)
     assert loaded_after("import ordpigeon.cli", "ordpigeon.engine") == \
         {"ordpigeon.engine": True}
+    # the witness file codec lives in the witness layer, below the CLI
+    above = ("ordpigeon.cli", "ordpigeon.selftest", "ordpigeon.oracle")
+    assert loaded_after("import ordpigeon.witness", *above) == \
+        dict.fromkeys(above, False)
     # the package root loads a submodule only when one of its names is used
     submodules = ("ordpigeon.ordinal", "ordpigeon.engine", "ordpigeon.parser",
                   "ordpigeon.witness")
@@ -338,6 +342,209 @@ def test_selftest_reporting(monkeypatch, capsys):
     env = json.loads(capsys.readouterr().out)
     assert env["result"]["passed"] is False
     assert [c["ok"] for c in env["result"]["criteria"]] == [True, False]
+
+
+# -- pinned texts: help and witness files --------------------------------------
+
+
+# every --help text, wrapped at 80 columns
+HELP = {
+    "": """\
+usage: ordpigeon [-h]
+                 {ptop,pord,mrsum,natsum,arith,classify,case,witness,verify,selftest}
+                 ...
+
+pigeonhole numbers for ordinal topologies
+
+positional arguments:
+  {ptop,pord,mrsum,natsum,arith,classify,case,witness,verify,selftest}
+    ptop                topological pigeonhole number
+    pord                classical pigeonhole number
+    mrsum               Milner-Rado sum
+    natsum              natural sum
+    arith               ordinal arithmetic
+    classify            structural facts about one ordinal
+    case                case dispatch with its reasoning trail
+    witness             counterexample colouring below BETA
+    verify              recheck a witness file
+    selftest            run the acceptance grids
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "ptop": """\
+usage: ordpigeon ptop [-h] [--json] [--unicode]
+                      TARGET[:COUNT] [TARGET[:COUNT] ...]
+
+positional arguments:
+  TARGET[:COUNT]
+
+options:
+  -h, --help      show this help message and exit
+  --json          emit a JSON envelope instead of text
+  --unicode       print ordinals with unicode subscripts
+""",
+    "pord": """\
+usage: ordpigeon pord [-h] [--json] [--unicode] TARGET [TARGET ...]
+
+positional arguments:
+  TARGET
+
+options:
+  -h, --help  show this help message and exit
+  --json      emit a JSON envelope instead of text
+  --unicode   print ordinals with unicode subscripts
+""",
+    "mrsum": """\
+usage: ordpigeon mrsum [-h] [--json] [--unicode] ORDINAL [ORDINAL ...]
+
+positional arguments:
+  ORDINAL
+
+options:
+  -h, --help  show this help message and exit
+  --json      emit a JSON envelope instead of text
+  --unicode   print ordinals with unicode subscripts
+""",
+    "natsum": """\
+usage: ordpigeon natsum [-h] [--json] [--unicode] ORDINAL [ORDINAL ...]
+
+positional arguments:
+  ORDINAL
+
+options:
+  -h, --help  show this help message and exit
+  --json      emit a JSON envelope instead of text
+  --unicode   print ordinals with unicode subscripts
+""",
+    "arith": """\
+usage: ordpigeon arith [-h] [--json] [--unicode] {add,mul,cmp} a b
+
+positional arguments:
+  {add,mul,cmp}
+  a
+  b
+
+options:
+  -h, --help     show this help message and exit
+  --json         emit a JSON envelope instead of text
+  --unicode      print ordinals with unicode subscripts
+""",
+    "classify": """\
+usage: ordpigeon classify [-h] [--json] [--unicode] ordinal
+
+positional arguments:
+  ordinal
+
+options:
+  -h, --help  show this help message and exit
+  --json      emit a JSON envelope instead of text
+  --unicode   print ordinals with unicode subscripts
+""",
+    "case": """\
+usage: ordpigeon case [-h] [--json] [--unicode]
+                      TARGET[:COUNT] [TARGET[:COUNT] ...]
+
+positional arguments:
+  TARGET[:COUNT]
+
+options:
+  -h, --help      show this help message and exit
+  --json          emit a JSON envelope instead of text
+  --unicode       print ordinals with unicode subscripts
+""",
+    "witness": """\
+usage: ordpigeon witness [-h] [--json] [--unicode]
+                         BETA TARGET[:COUNT] [TARGET[:COUNT] ...]
+
+positional arguments:
+  BETA
+  TARGET[:COUNT]
+
+options:
+  -h, --help      show this help message and exit
+  --json          emit a JSON envelope instead of text
+  --unicode       print ordinals with unicode subscripts
+""",
+    "verify": """\
+usage: ordpigeon verify [-h] [--json] [--unicode] WITNESS.json
+
+positional arguments:
+  WITNESS.json
+
+options:
+  -h, --help    show this help message and exit
+  --json        emit a JSON envelope instead of text
+  --unicode     print ordinals with unicode subscripts
+""",
+    "selftest": """\
+usage: ordpigeon selftest [-h] [--json] [--unicode]
+
+options:
+  -h, --help  show this help message and exit
+  --json      emit a JSON envelope instead of text
+  --unicode   print ordinals with unicode subscripts
+""",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP))
+def test_help_texts_are_pinned(monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_captured([command, "--help"] if command else ["--help"])
+    assert (code, out, err) == (0, HELP[command], "")
+
+
+# one witness file per certificate kind; with --json a command prints its
+# envelope with json.dumps(envelope, indent=2), so these pin the bytes
+ENVELOPES = [
+    (["w^2+1", "w*2:2"], {
+        "domain": "w^2+1", "mode": "rank",
+        "rank_classes": [[["1", "2"]], [["0", "1"]]],
+        "top_point_colours": [0], "zero_colour": None,
+        "certificates": [
+            {"colour": 0, "kind": "DerivativeNotEmbeddable",
+             "claimed_target": "w*2", "level": "0", "bound": None,
+             "class_residual": "w+1", "target_residual": "w*2"},
+            {"colour": 1, "kind": "DerivativeEmpty", "claimed_target": "w*2",
+             "level": "1", "bound": None, "class_residual": None,
+             "target_residual": None}],
+        "instance": ["w*2:2"]}),
+    (["w^3", "w+1:3"], {
+        "domain": "w^3", "mode": "rank",
+        "rank_classes": [[["0", "1"]], [["1", "2"]], [["2", "3"]]],
+        "top_point_colours": [], "zero_colour": None,
+        "certificates": [
+            {"colour": i, "kind": "DerivativeEmpty", "claimed_target": "w+1",
+             "level": "1", "bound": None, "class_residual": None,
+             "target_residual": None} for i in range(3)],
+        "instance": ["w+1:3"]}),
+    (["5", "2:3", "3"], {
+        "domain": "5", "mode": "rank", "rank_classes": [[], [], [], []],
+        "top_point_colours": [1, 2, 3, 3], "zero_colour": 0,
+        "certificates": [
+            {"colour": i, "kind": "DerivativeSmall", "claimed_target": t,
+             "level": "0", "bound": b, "class_residual": None,
+             "target_residual": None}
+            for i, t, b in [(0, "2", 1), (1, "2", 1), (2, "2", 1), (3, "3", 2)]],
+        "instance": ["2:3", "3:1"]}),
+    (["w_1", "w_1+1", "w+1"], {
+        "domain": "w_1", "mode": "cofinality", "rank_classes": [[], []],
+        "top_point_colours": [], "zero_colour": None,
+        "certificates": [
+            {"colour": i, "kind": "CofinalitySplit", "claimed_target": t,
+             "level": None, "bound": None, "class_residual": None,
+             "target_residual": None} for i, t in enumerate(["w_1+1", "w+1"])],
+        "instance": ["w_1+1:1", "w+1:1"]}),
+]
+
+
+@pytest.mark.parametrize("args,result", ENVELOPES)
+def test_witness_files_are_pinned(args, result):
+    envelope = {"command": "witness", "inputs": args,
+                "result": {"kind": "witness", **result}}
+    code, out, err = run_captured(["witness", *args, "--json"])
+    assert (code, out, err) == (0, json.dumps(envelope, indent=2) + "\n", "")
 
 
 # -- fuzzing: every input ends in a documented exit code ----------------------

@@ -97,6 +97,18 @@ def test_compare_coerces_ints_as_the_operators_do():
         compare(1.5, w)
 
 
+def test_a_bool_is_not_an_ordinal():
+    # True is an int to Python, but neither 1 nor a count to the kernel
+    for call in (lambda: add(w, True), lambda: from_int(True),
+                 lambda: Cardinal.aleph(True), lambda: compare(w, False)):
+        with pytest.raises(TypeError):
+            call()
+    assert (ONE == True) is False and (ZERO == False) is False  # noqa: E712
+    assert ONE == 1 and ZERO == 0
+    with pytest.raises(ZeroInput):
+        mr_sum_counted([(w, True)])
+
+
 def test_atom_index_positive():
     with pytest.raises(ValueError):
         Atom(ZERO)

@@ -1,5 +1,6 @@
 """Colouring construction, evaluation, and certificate checking."""
 
+import json
 import os
 import subprocess
 import sys
@@ -35,7 +36,7 @@ from ordpigeon.ordinal import (
     omega_pow,
 )
 from ordpigeon.oracle import mr_sum_bruteforce_check
-from ordpigeon.selftest import _maximal_failing, _tamper_all
+from ordpigeon.selftest import _maximal_failing, _tamper_all, _witness_grid
 from ordpigeon.witness import (
     CertKind,
     ColouringMode,
@@ -53,6 +54,8 @@ from ordpigeon.witness import (
     order_type_of_union,
     residual_shape,
     verify_certificates,
+    witness_from_json,
+    witness_to_json,
 )
 
 w = OMEGA
@@ -560,6 +563,18 @@ def test_round_trip_on_a_spread_of_failing_spaces():
     for beta, entries in cases:
         norm, col, certs = built(beta, *entries)
         assert verify_certificates(col, norm, certs), (beta, entries)
+
+
+def test_witness_files_read_back_to_the_built_witness():
+    # criterion 7's witnesses, through JSON text and back
+    grid = _witness_grid()
+    assert len(grid) == 50
+    for inst in grid:
+        norm = normalize(inst)
+        col, certs = build_counterexample(
+            _maximal_failing(p_top(inst).value), norm)
+        doc = json.loads(json.dumps(witness_to_json(col, certs)))
+        assert witness_from_json(doc) == (col, tuple(certs)), inst
 
 
 # -- the threshold is sharp ------------------------------------------------------
