@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -31,6 +30,7 @@ from .engine import Exists, Instance, p_top
 from .ordinal import (
     ONE,
     Ordinal,
+    Record,
     ZERO,
     ZeroInput,
     _build,
@@ -90,18 +90,17 @@ def finite_arrow_check(beta: int, targets: Sequence[int]) -> bool:
 # -- bounded enumeration of countable normal forms -----------------------------
 
 
-@dataclass(frozen=True)
-class EnumerationBounds:
-    max_exponent: Ordinal
-    max_coefficient: int
-    max_monomials: int
+class EnumerationBounds(Record):
+    __slots__ = ("max_exponent", "max_coefficient", "max_monomials")
 
-    def __post_init__(self):
-        object.__setattr__(self, "max_exponent", _coerce(self.max_exponent))
-        if not self.max_exponent.is_countable():
+    def __init__(self, max_exponent: Ordinal, max_coefficient: int,
+                 max_monomials: int):
+        max_exponent = _coerce(max_exponent)
+        if not max_exponent.is_countable():
             raise ValueError("enumeration is for countable ordinals only")
-        if self.max_coefficient < 1 or self.max_monomials < 1:
+        if max_coefficient < 1 or max_monomials < 1:
             raise ValueError("coefficient and monomial bounds must be positive")
+        self._init(max_exponent, max_coefficient, max_monomials)
 
 
 def _terms_over(exponents: List[Ordinal], bounds: EnumerationBounds):

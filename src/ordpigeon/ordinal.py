@@ -40,7 +40,60 @@ class ZeroInput(ValueError):
     """Raised by operations whose arguments must be non-zero ordinals."""
 
 
-class Ordinal:
+class Record:
+    """Immutable record, the one kind of immutable value here: Ordinal
+    and Atom too.  A subclass names its slots in __slots__, each value
+    stored once, in its slot.  A slot named with a leading underscore is
+    a memo (Instance._analysis); the others are the fields, which
+    equality (same type too), hash, pickling and a dataclass-style repr
+    read, so each constructor takes its fields positionally in slot
+    order, keeps its own checks and ends in one _init(...) call that
+    writes every slot.  It keeps dataclasses (and the inspect, ast and
+    dis it loads) off the CLI's start-up.  Only the two witness-file
+    types, RankColouring and ObstructionCertificate, stay dataclasses:
+    the self-test, the tests and the benchmark tamper with them through
+    dataclasses.replace, and witness_to_json walks dataclasses.fields.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        slots = cls.__slots__
+        cls._fields = tuple(n for n in slots if not n.startswith("_"))
+        # _init(self, *slots) calls each slot's own writer, which skips the
+        # guard in __setattr__.  It is compiled once per class, so that a
+        # constructor pays one call and no loop over the slots.
+        scope = {"_set_" + n: getattr(cls, n).__set__ for n in slots}
+        writes = "; ".join(f"_set_{n}(self, {n})" for n in slots) or "pass"
+        exec(f"def _init({', '.join(('self',) + slots)}): {writes}", scope)
+        cls._init = scope["_init"]
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __reduce__(self):
+        return type(self), self._astuple()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Ordinal(Record):
     """An ordinal in Cantor normal form.  Immutable; compare with <, ==, etc.
 
     Ordinal(monomials) takes (exponent, coefficient) pairs and raises
@@ -48,8 +101,7 @@ class Ordinal:
     rechecked: they were checked when they were built.  A lone (w_nu, 1)
     gives the atom w_nu itself."""
 
-    # _hash is computed on first use and kept with the node
-    __slots__ = ("monomials", "_hash")
+    __slots__ = ("monomials",)
 
     def __new__(cls, monomials: tuple = ()):
         ms = tuple(monomials)
@@ -61,12 +113,6 @@ class Ordinal:
             if i and compare(ms[i - 1][0], e) <= 0:
                 raise ValueError("exponents must be strictly decreasing")
         return _build(ms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __reduce__(self):
-        return Ordinal, (self.monomials,)
 
     # -- structure ---------------------------------------------------------
 
@@ -114,16 +160,12 @@ class Ordinal:
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other):
-        if type(other) is int:  # not a bool
-            other = from_int(other)
+        if type(other) is int:  # not a bool; no ordinal is negative
+            other = from_int(other) if other >= 0 else None
         return isinstance(other, Ordinal) and self.monomials == other.monomials
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(("Ordinal", self.monomials))
-            _set_hash(self, h)
-        return h
+        return hash(self.monomials)
 
     def __lt__(self, other):
         return compare(self, _coerce(other)) < 0
@@ -169,28 +211,20 @@ class Atom(Ordinal):
         if index.is_zero():
             raise ValueError("w_0 is plain omega, not an atom")
         x = _new(Atom)
-        _set_index(x, index)
+        x._init(index)
         return x
 
     @property
     def monomials(self) -> tuple:
         return ((self, 1),)
 
-    def __reduce__(self):
-        return Atom, (self.index,)
-
-    def __eq__(self, other):
-        return type(other) is Atom and self.index == other.index
-
-    def __hash__(self):
-        return hash(("Atom", self.index))
+    # by index: the structural pair would recurse through ((self, 1),)
+    __eq__, __hash__ = Record.__eq__, Record.__hash__
 
 
-# the slots' own writers, which skip the immutability guard in __setattr__
+# the unchecked builder's writer, which skips the guard in __setattr__
 _new = object.__new__
 _set_monomials = Ordinal.monomials.__set__
-_set_hash = Ordinal._hash.__set__
-_set_index = Atom.index.__set__
 
 
 def _build(ms: tuple) -> Ordinal:
@@ -200,7 +234,6 @@ def _build(ms: tuple) -> Ordinal:
         return ms[0][0]
     x = _new(Ordinal)
     _set_monomials(x, ms)
-    _set_hash(x, None)
     return x
 
 
@@ -453,60 +486,7 @@ def p_ord(targets: Sequence[Union[Ordinal, int]]) -> Ordinal:
     return mr_sum(targets)
 
 
-# -- records and cardinals ---------------------------------------------------
-
-
-class Record:
-    """Immutable record: a subclass names its slots in __slots__, each
-    value stored once, in its slot.  A slot named with a leading
-    underscore is a memo (Instance._analysis); the others are the fields,
-    which equality (same type too), hash, pickling and a dataclass-style
-    repr read, so each __init__ takes its fields positionally in slot
-    order.  Each __init__ keeps its own checks and ends in one
-    self._init(...) call that writes every slot.  It keeps dataclasses
-    (and the inspect, ast and dis it loads) off the CLI's start-up.
-    RankColouring, ObstructionCertificate and EnumerationBounds stay
-    dataclasses: the self-test, the tests and the benchmark tamper with
-    certificates through dataclasses.replace, and only the witness and
-    verify subcommands load their modules.
-    """
-
-    __slots__ = ()
-
-    def __init_subclass__(cls):
-        slots = cls.__slots__
-        cls._fields = tuple(n for n in slots if not n.startswith("_"))
-        # _init(self, *slots) calls each slot's own writer, which skips the
-        # guard in __setattr__.  It is compiled once per class, so that a
-        # constructor pays one call and no loop over the slots.
-        scope = {"_set_" + n: getattr(cls, n).__set__ for n in slots}
-        writes = "; ".join(f"_set_{n}(self, {n})" for n in slots) or "pass"
-        exec(f"def _init({', '.join(('self',) + slots)}): {writes}", scope)
-        cls._init = scope["_init"]
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def _astuple(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
-
-    def __eq__(self, other):
-        if type(other) is type(self):
-            return self._astuple() == other._astuple()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._astuple())
-
-    def __reduce__(self):
-        return type(self), self._astuple()
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self._fields)
-        return f"{type(self).__qualname__}({fields})"
+# -- cardinals ---------------------------------------------------------------
 
 
 class Cardinal(Record):

@@ -12,7 +12,6 @@ import dataclasses
 import itertools
 import random
 import time
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from .engine import (
@@ -42,6 +41,7 @@ from .ordinal import (
     OMEGA1,
     OMEGA2,
     Ordinal,
+    Record,
     ZERO,
     _build,
     add,
@@ -66,14 +66,12 @@ from .witness import build_counterexample, natsum_expressible, verify_certificat
 w = OMEGA
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    number: int
-    title: str
-    ok: bool
-    detail: str
-    elapsed: float
-    limit: float
+class CriterionResult(Record):
+    __slots__ = ("number", "title", "ok", "detail", "elapsed", "limit")
+
+    def __init__(self, number: int, title: str, ok: bool, detail: str,
+                 elapsed: float, limit: float):
+        self._init(number, title, ok, detail, elapsed, limit)
 
     def line(self) -> str:
         status = "pass" if self.ok else "FAIL"

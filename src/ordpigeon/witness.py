@@ -462,8 +462,6 @@ def build_counterexample(beta, norm: NormalizedInstance):
         raise OutOfScope(f"witnesses are built for at most {MAX_COLOURS} "
                          f"colours, not {norm.kappa.size}")
     flat = _by_colour(norm)
-    if beta.is_zero():
-        return _build_empty(beta, flat)
     if beta.is_finite():
         return _build_finite(beta, flat)
     return _build_infinite(beta, facts, flat)
@@ -481,14 +479,6 @@ def _build_cofinality(beta, norm):
     return col, certs
 
 
-def _build_empty(beta, flat):
-    col = RankColouring(beta, ColouringMode.RANK,
-                        ((),) * len(flat), (), None)
-    certs = [ObstructionCertificate(i, CertKind.DERIVATIVE_EMPTY, t, level=ZERO)
-             for i, t in enumerate(flat)]
-    return col, certs
-
-
 def _fill(order, caps, count) -> List[int]:
     # the colours of count points: each colour in order takes up to its
     # cap (None: no cap) of the points left
@@ -503,9 +493,10 @@ def _fill(order, caps, count) -> List[int]:
 def _build_finite(beta, flat):
     caps = [int(t) - 1 if t.is_finite() else None for t in flat]
     assignment = _fill(range(len(flat)), caps, int(beta))
+    zero_colour = assignment[0] if assignment else None
     col = RankColouring(beta, ColouringMode.RANK, ((),) * len(flat),
-                        tuple(assignment[1:]), assignment[0])
-    # every point has rank 0, the point 0 among them
+                        tuple(assignment[1:]), zero_colour)
+    # every point has rank 0, the point 0 among them (if beta > 0)
     return col, _exception_certs(flat, [ZERO] * len(flat), assignment)
 
 

@@ -109,6 +109,13 @@ def test_a_bool_is_not_an_ordinal():
         mr_sum_counted([(w, True)])
 
 
+def test_a_negative_int_equals_no_ordinal():
+    # no ordinal is negative, so == answers False rather than raising
+    assert (ONE == -1) is False and (ONE != -1) is True
+    assert -1 not in [ZERO, ONE, w, OMEGA1]
+    assert (Ordinal(()) == -5) is False
+
+
 def test_atom_index_positive():
     with pytest.raises(ValueError):
         Atom(ZERO)

@@ -18,8 +18,19 @@ from ordpigeon.engine import (
     analyze,
     normalize,
 )
-from ordpigeon.ordinal import OMEGA, OMEGA1, OMEGA2, Cardinal, add, omega_pow
+from ordpigeon.oracle import EnumerationBounds
+from ordpigeon.ordinal import (
+    OMEGA,
+    OMEGA1,
+    OMEGA2,
+    Atom,
+    Cardinal,
+    Ordinal,
+    add,
+    omega_pow,
+)
 from ordpigeon.parser import OrdinalExpression, parse_expression
+from ordpigeon.selftest import CriterionResult
 
 # the names the package root exported when it imported every submodule
 EXPORTS = {
@@ -76,6 +87,10 @@ def make_records():
         Exists(w), Infinite(), Independent(OMEGA2),
         analyze(Instance.of((add(w, 1), 3))),
         analyze(Instance.of((OMEGA1, 2))),
+        Ordinal(((ordinal.ONE, 2), (ordinal.ZERO, 1))), add(OMEGA1, w),
+        Atom(ordinal.ONE),
+        EnumerationBounds(w, 2, 2),
+        CriterionResult(1, "alpha", True, "fine", 0.5, 1.0),
     ]
 
 
@@ -141,6 +156,11 @@ def test_reprs_match_the_dataclass_ones():
         "'some target is a power of w'), result=Exists(w), normalized="
         "NormalizedInstance(entries=((w, 2),), kappa=2), "
         "decompositions=None, distinguished=None)")
+    assert repr(EnumerationBounds(w, 2, 2)) == \
+        "EnumerationBounds(max_exponent=w, max_coefficient=2, max_monomials=2)"
+    assert repr(CriterionResult(1, "alpha", True, "fine", 0.5, 1.0)) == (
+        "CriterionResult(number=1, title='alpha', ok=True, detail='fine', "
+        "elapsed=0.5, limit=1.0)")
     # classes with their own __repr__ keep it
     assert [repr(x) for x in (Cardinal.finite(3), Cardinal.aleph(w),
                               Exists(w), Infinite(), Independent(OMEGA2))] \

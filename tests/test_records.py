@@ -1,12 +1,19 @@
 """The contract every Record subclass keeps.  Pickling and copying
-rebuild a record by calling its class with its fields, so each __init__
-takes them positionally, in slot order; a slot named with a leading
-underscore is a memo, outside equality, hash, repr and pickling."""
+rebuild a record by calling its class with its fields, so each
+constructor takes them positionally, in slot order; a slot named with a
+leading underscore is a memo, outside equality, hash, repr and
+pickling.  Record is the one mechanism for immutable values: only the
+two witness-file types stay dataclasses."""
 
+import dataclasses
+import importlib
 import inspect
+import pkgutil
 
 import pytest
 
+import ordpigeon
+from ordpigeon import oracle, selftest  # noqa: F401  (each defines one)
 from ordpigeon.engine import Instance, analyze
 from ordpigeon.ordinal import OMEGA, Record, add
 from ordpigeon.parser import OrdinalExpression  # noqa: F401  (defines one)
@@ -24,7 +31,18 @@ RECORDS = list(subclasses(Record))
 def test_the_walk_finds_every_record():
     assert {cls.__name__ for cls in RECORDS} >= {
         "Cardinal", "OrdinalExpression", "Instance", "NormalizedInstance",
-        "Exists", "Infinite", "Independent", "Analysis"}
+        "Exists", "Infinite", "Independent", "Analysis", "Ordinal", "Atom",
+        "EnumerationBounds", "CriterionResult"}
+
+
+def test_only_the_witness_file_types_are_dataclasses():
+    found = set()
+    for info in pkgutil.iter_modules(ordpigeon.__path__, "ordpigeon."):
+        module = importlib.import_module(info.name)
+        found |= {name for name, obj in vars(module).items()
+                  if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                  and obj.__module__ == info.name}
+    assert found == {"RankColouring", "ObstructionCertificate"}
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
