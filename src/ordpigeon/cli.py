@@ -214,8 +214,11 @@ def _cmd_verify(ns) -> Handler:
     try:
         result = envelope["result"]
         col, certs = witness_from_json(result)
-        inst = _parse_instance(result["instance"])
-    except (KeyError, TypeError, AttributeError) as exc:
+        texts = result["instance"]
+        if type(texts) is not list or any(type(t) is not str for t in texts):
+            raise TypeError(f"{texts!r} is not an array of strings")
+        inst = _parse_instance(texts)
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"not a witness file: {exc}") from exc
     norm = normalize(inst)
     ok = isinstance(norm, NormalizedInstance) and \

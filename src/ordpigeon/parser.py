@@ -12,9 +12,14 @@ Terms are summed left to right, so inputs that are out of order or
 unmerged ("1+w", "w+w") are accepted and normalised; the expression
 wrapper flags them as non-canonical.  format_ordinal is the inverse on
 canonical forms.
+
+parse_expression keeps its last 512 successful parses by text, so equal
+texts share one immutable value; syntax errors are not kept.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .ordinal import (
     Atom,
@@ -143,7 +148,10 @@ def _atom(sc: _Scanner) -> Ordinal:
     return value
 
 
+@lru_cache(maxsize=512)  # above the ~260 distinct texts of a MAX_COLOURS file
 def parse_expression(text: str) -> OrdinalExpression:
+    """The value and its normal-form flag; a text among the last 512 parsed
+    returns the same object, and a syntax error is raised on every call."""
     sc = _Scanner(text)
     value = _ordinal(sc)
     if not sc.at_end():

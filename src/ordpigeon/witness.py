@@ -163,34 +163,44 @@ def witness_to_json(col: RankColouring, certs) -> dict:
 
 def witness_from_json(doc: dict):
     """(colouring, certificates) read back from witness_to_json's object.
-    A missing key raises KeyError, a value of the wrong JSON type
-    TypeError or AttributeError, and an unparseable ordinal or unknown
-    mode or kind ValueError."""
-    def opt(x):
-        return None if x is None else parse_ordinal(x)
+    A missing key raises KeyError, a value of the wrong JSON type (such
+    as a string where an array belongs) TypeError, and an unparseable
+    ordinal or unknown mode or kind ValueError."""
+    def array(x, pair=False):  # a string or object would iterate as well
+        if type(x) is not list or pair and len(x) != 2:
+            raise TypeError(f"{x!r} is not {'a pair' if pair else 'an array'}")
+        return x
 
     def integer(x):  # JSON's 1.7, true and "1" are not colours or bounds
         if type(x) is not int:
             raise TypeError(f"{x!r} is not an integer")
         return x
+
+    def ordinal(x):  # so that no list or object reaches the parser's cache
+        if type(x) is not str:
+            raise TypeError(f"{x!r} is not a string")
+        return parse_ordinal(x)
+
+    def opt(x, read=ordinal):
+        return None if x is None else read(x)
     col = RankColouring(
-        domain=parse_ordinal(doc["domain"]),
+        domain=ordinal(doc["domain"]),
         mode=ColouringMode(doc["mode"]),
         rank_classes=tuple(
-            tuple((parse_ordinal(lo), parse_ordinal(hi)) for lo, hi in union)
-            for union in doc["rank_classes"]),
-        top_point_colours=tuple(map(integer, doc["top_point_colours"])),
-        zero_colour=(None if doc["zero_colour"] is None
-                     else integer(doc["zero_colour"])))
+            tuple((ordinal(lo), ordinal(hi))
+                  for lo, hi in (array(p, pair=True) for p in array(union)))
+            for union in array(doc["rank_classes"])),
+        top_point_colours=tuple(map(integer, array(doc["top_point_colours"]))),
+        zero_colour=opt(doc["zero_colour"], integer))
     certs = tuple(ObstructionCertificate(
         colour=integer(c["colour"]),
         kind=CertKind(c["kind"]),
-        claimed_target=parse_ordinal(c["claimed_target"]),
+        claimed_target=ordinal(c["claimed_target"]),
         level=opt(c["level"]),
-        bound=None if c["bound"] is None else integer(c["bound"]),
+        bound=opt(c["bound"], integer),
         class_residual=opt(c["class_residual"]),
         target_residual=opt(c["target_residual"]),
-    ) for c in doc["certificates"])
+    ) for c in array(doc["certificates"]))
     return col, certs
 
 

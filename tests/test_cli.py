@@ -172,6 +172,37 @@ def test_verify_reads_integer_fields_as_exact_ints(tmp_path, capsys, field,
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("args,path,value", [
+    # a string or object where an array belongs would iterate by characters
+    # or keys: these three verified before the reader checked JSON types
+    (["2", "2", "2"], ("instance",), "22"),
+    (["w^2+1", "w*2:2"], ("instance",), {"w*2:2": 1}),
+    (["w^2+1", "w*2:2"], ("rank_classes", 0, 0), "12"),
+    # an interval is two ordinals, and an ordinal is a string
+    (["w^2+1", "w*2:2"], ("rank_classes", 0, 0), ["1", "2", "3"]),
+    (["w^2+1", "w*2:2"], ("certificates", 0, "claimed_target"), ["w*2"]),
+    (["w^2+1", "w*2:2"], ("instance", 0), ["w*2:2"]),
+])
+def test_verify_reads_arrays_and_strings_only_where_they_belong(
+        tmp_path, capsys, args, path, value):
+    assert run(["witness", *args, "--json"]) == 0
+    env = json.loads(capsys.readouterr().out)
+    wit = tmp_path / "wit.json"
+    wit.write_text(json.dumps(env))
+    assert run(["verify", str(wit)]) == 0
+    capsys.readouterr()
+    node = env["result"]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    wit.write_text(json.dumps(env))
+    assert run(["verify", str(wit)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: not a witness file: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_verify_error_paths(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert run(["verify", str(missing)]) == 2
@@ -493,6 +524,58 @@ def test_help_texts_are_pinned(monkeypatch, command):
     monkeypatch.setenv("COLUMNS", "80")
     code, out, err = run_captured([command, "--help"] if command else ["--help"])
     assert (code, out, err) == (0, HELP[command], "")
+
+
+TOP_USAGE = """\
+usage: ordpigeon [-h]
+                 {ptop,pord,mrsum,natsum,arith,classify,case,witness,verify,selftest}
+                 ...
+"""
+# a usage error prints the usage of the parser that failed and one error
+# line, wrapped at 80 columns
+USAGE_ERRORS = [
+    ([], TOP_USAGE + "ordpigeon: error: the following arguments are "
+     "required: command\n"),
+    (["ptpo", "w:2"], TOP_USAGE + "ordpigeon: error: argument command: "
+     "invalid choice: 'ptpo' (choose from 'ptop', 'pord', 'mrsum', 'natsum', "
+     "'arith', 'classify', 'case', 'witness', 'verify', 'selftest')\n"),
+    (["arith", "mul", "w"], """\
+usage: ordpigeon arith [-h] [--json] [--unicode] {add,mul,cmp} a b
+ordpigeon arith: error: the following arguments are required: b
+"""),
+    (["arith", "pow", "w", "3"], """\
+usage: ordpigeon arith [-h] [--json] [--unicode] {add,mul,cmp} a b
+ordpigeon arith: error: argument operation: invalid choice: 'pow' (choose \
+from 'add', 'mul', 'cmp')
+"""),
+    (["ptop"], """\
+usage: ordpigeon ptop [-h] [--json] [--unicode]
+                      TARGET[:COUNT] [TARGET[:COUNT] ...]
+ordpigeon ptop: error: the following arguments are required: TARGET[:COUNT]
+"""),
+    (["ptop", "w", "--bogus"],
+     TOP_USAGE + "ordpigeon: error: unrecognized arguments: --bogus\n"),
+    (["--json", "ptop", "w"],
+     TOP_USAGE + "ordpigeon: error: unrecognized arguments: --json\n"),
+    (["verify"], """\
+usage: ordpigeon verify [-h] [--json] [--unicode] WITNESS.json
+ordpigeon verify: error: the following arguments are required: WITNESS.json
+"""),
+    (["selftest", "x"],
+     TOP_USAGE + "ordpigeon: error: unrecognized arguments: x\n"),
+    (["witness", "w"], """\
+usage: ordpigeon witness [-h] [--json] [--unicode]
+                         BETA TARGET[:COUNT] [TARGET[:COUNT] ...]
+ordpigeon witness: error: the following arguments are required: \
+TARGET[:COUNT]
+"""),
+]
+
+
+@pytest.mark.parametrize("argv,err", USAGE_ERRORS)
+def test_usage_errors_are_pinned(monkeypatch, argv, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_captured(argv) == (2, "", err)
 
 
 # one witness file per certificate kind; with --json a command prints its

@@ -81,7 +81,7 @@ def make_records():
     """One record of each kind, built afresh on each call."""
     return [
         Cardinal.finite(3), Cardinal.aleph(1), Cardinal(),
-        parse_expression("1+w"),
+        OrdinalExpression("1+w", w, True),
         Instance.of((add(w, 1), 3)),
         normalize(Instance.of((add(w, 1), 3))),
         Exists(w), Infinite(), Independent(OMEGA2),

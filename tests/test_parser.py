@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordpigeon.ordinal import (
     OMEGA,
@@ -120,6 +121,36 @@ def test_nesting_beyond_the_limit_is_a_syntax_error():
         assert 0 < info.value.position < len(text)
     with pytest.raises(OrdinalSyntaxError):
         parse_cardinal("aleph_" + "w_" * 100 + "1")
+
+
+# pieces of the grammar, so that many texts parse, and junk, so that many fail
+TEXTS = st.one_of(
+    st.lists(st.sampled_from(["w", "w_", "^", "(", ")", "+", "*", "0", "1",
+                              "2", "10", " "]), max_size=8).map("".join),
+    st.text(max_size=8))
+
+
+@settings(max_examples=400, deadline=None)
+@given(TEXTS)
+def test_kept_parses_are_shared_and_errors_are_raised_afresh(text):
+    try:
+        fresh = parse_expression.__wrapped__(text)
+    except OrdinalSyntaxError as exc:
+        for _ in range(2):
+            with pytest.raises(OrdinalSyntaxError) as info:
+                parse_expression(text)
+            assert (str(info.value), info.value.position) == \
+                (str(exc), exc.position)
+        return
+    kept = parse_expression(text)
+    assert kept == fresh
+    assert parse_expression(text) is kept
+
+
+def test_the_kept_parses_are_bounded():
+    for i in range(2000):
+        parse_expression(f"w^{i}+{i}")
+    assert parse_expression.cache_info().currsize <= 512
 
 
 def test_cardinal_parsing():

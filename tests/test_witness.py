@@ -36,6 +36,7 @@ from ordpigeon.ordinal import (
     omega_pow,
 )
 from ordpigeon.oracle import mr_sum_bruteforce_check
+from ordpigeon.parser import parse_expression
 from ordpigeon.selftest import _maximal_failing, _tamper_all, _witness_grid
 from ordpigeon.witness import (
     CertKind,
@@ -575,6 +576,25 @@ def test_witness_files_read_back_to_the_built_witness():
             _maximal_failing(p_top(inst).value), norm)
         doc = json.loads(json.dumps(witness_to_json(col, certs)))
         assert witness_from_json(doc) == (col, tuple(certs)), inst
+
+
+def test_a_witness_files_texts_are_parsed_once():
+    # each colour repeats its target and level, and each interval's end is
+    # the next one's start: 801 ordinal texts, 203 of them distinct
+    norm = norm_of((add(w, 1), 200))
+    col, certs = build_counterexample(wp(200), norm)
+    doc = json.loads(json.dumps(witness_to_json(col, certs)))
+    texts = [doc["domain"]]
+    texts += [t for union in doc["rank_classes"] for pair in union
+              for t in pair]
+    texts += [c[key] for c in doc["certificates"]
+              for key in ("claimed_target", "level", "class_residual",
+                          "target_residual") if c[key] is not None]
+    assert (len(texts), len(set(texts))) == (801, 203)
+    parse_expression.cache_clear()
+    assert witness_from_json(doc) == (col, tuple(certs))
+    info = parse_expression.cache_info()
+    assert (info.misses, info.hits) == (203, 801 - 203)
 
 
 # -- the threshold is sharp ------------------------------------------------------
