@@ -38,11 +38,7 @@ from .ordinal import (
     add,
     mul,
 )
-from .parser import (
-    format_ordinal,
-    parse_cardinal,
-    parse_expression,
-)
+from .parser import BRIEF, format_ordinal, parse_cardinal, parse_expression
 
 Envelope = dict
 Handler = Tuple[Envelope, List[str], int]
@@ -216,15 +212,12 @@ def _cmd_verify(ns) -> Handler:
         col, certs = witness_from_json(result)
         texts = result["instance"]
         if type(texts) is not list or any(type(t) is not str for t in texts):
-            raise TypeError(f"{texts!r} is not an array of strings")
+            raise TypeError(f"{BRIEF.repr(texts)} is not an array of strings")
         inst = _parse_instance(texts)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"not a witness file: {exc}") from exc
-    norm = normalize(inst)
-    ok = isinstance(norm, NormalizedInstance) and \
-        verify_certificates(col, norm, certs)
-    env = _envelope("verify", [ns.file],
-                    {"kind": "verdict", "value": bool(ok)})
+    ok = verify_certificates(col, normalize(inst), certs)
+    env = _envelope("verify", [ns.file], {"kind": "verdict", "value": ok})
     line = "witness verified" if ok else "witness rejected"
     return env, [line], 0 if ok else 1
 

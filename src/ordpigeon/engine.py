@@ -7,8 +7,8 @@ an ordinal, or provably no ordinal at all, or (for two or more copies of
 w_1 among countable-or-w_1 targets) a value independent of ZFC, for which
 we report the provable lower bound and the known consistency facts.
 
-classify walks the case tree once, and each leaf computes its value
-where the tree reaches it.  A count is a number throughout: in the
+classify walks the case tree once per normalized instance, whose leaf
+computes its value.  A count is a number throughout: in the
 finite-colour leaves a target of count c enters each formula once,
 scaled by c, so no leaf lists the targets copy by copy.  normalize and
 the C6 leaves each take what they need in one pass over the entries.
@@ -79,12 +79,14 @@ class Instance(Record):
 
 
 class NormalizedInstance(Record):
-    """An instance with every target at least 2 and kappa recomputed."""
+    """An instance with every target at least 2 and kappa recomputed;
+    the memo _facts keeps classify(self)'s leaf facts, not the Analysis,
+    which points back at its norm and would form a reference cycle."""
 
-    __slots__ = ("entries", "kappa")
+    __slots__ = ("entries", "kappa", "_facts")
 
     def __init__(self, entries, kappa: Cardinal):
-        self._init(entries, kappa)
+        self._init(entries, kappa, None)
 
 
 class Exists(Record):
@@ -173,8 +175,10 @@ def normalize(inst: Instance) -> Union[NormalizedInstance, PigeonholeResult]:
     A target of 0 is contained in every class of every colouring, so the
     answer is 0.  A target of 1 needs one point in its class and never
     constrains the answer beyond that; if nothing else remains, the
-    answer is 1.
-    """
+    answer is 1.  An analysed instance gives its analysis's norm, which
+    keeps the facts of its one case-tree walk."""
+    if inst._analysis is not None:  # or the degenerate answer it kept
+        return inst._analysis.normalized or inst._analysis.result
     if not inst.entries:
         raise EmptyInstance("no targets")
     kept = []
@@ -225,15 +229,23 @@ _OMEGA_SUCC = add(OMEGA, ONE)
 
 
 def classify(norm: NormalizedInstance) -> Analysis:
-    """Walk the case tree once; the leaf it reaches computes the result
-    from the entries and their counts."""
-    trail: List[str] = []
-    case, result, *c6c = _case_tree(norm, trail)
-    return Analysis(case, tuple(trail), result, norm, *c6c)
+    """Walk the case tree once per norm object, later calls reading the
+    kept facts; the leaf computes the result.  Anything but a
+    NormalizedInstance, such as a degenerate Exists, raises TypeError."""
+    if not isinstance(norm, NormalizedInstance):
+        raise TypeError(f"{norm!r} is not a NormalizedInstance")
+    facts = norm._facts
+    if facts is None:
+        trail: List[str] = []
+        case, result, decs, s = _case_tree(norm, trail)
+        facts = (case, tuple(trail), result, decs, s)
+        NormalizedInstance._facts.__set__(norm, facts)  # past the guard
+    case, trail, result, decs, s = facts
+    return Analysis(case, trail, result, norm, decs, s)
 
 
 def _case_tree(norm: NormalizedInstance, trail: List[str]) -> tuple:
-    # (case, result), plus (decompositions, distinguished) in C6c
+    # (case, result, decompositions, distinguished); the last two in C6c
     kappa = norm.kappa
     # countable targets are below w_1, so they settle both w_1 tests
     countable = all(t.is_countable() for t, _ in norm.entries)
@@ -244,23 +256,23 @@ def _case_tree(norm: NormalizedInstance, trail: List[str]) -> tuple:
         trail.append("some target exceeds w_1")
         if _copies(norm, _OMEGA_SUCC) >= 2:
             trail.append("a second target is at least w+1")
-            return CasePath.C1, Infinite()
+            return CasePath.C1, Infinite(), None, None
         trail.append("every other target is at most w")
         if not kappa.is_finite():
             trail.append("infinitely many colours")
             succ = kappa.successor().as_ordinal()
             if not is_power_of_omega(big):
                 trail.append("the large target is not a power of w")
-                return CasePath.C2aI, Exists(mul(big, succ))
+                return CasePath.C2aI, Exists(mul(big, succ)), None, None
             trail.append("the large target is a power of w")
             cf = cofinality(big)
             if cf > kappa.as_ordinal():
                 trail.append("its cofinality exceeds the number of colours")
-                return CasePath.C2aIIA, Exists(big)
+                return CasePath.C2aIIA, Exists(big), None, None
             if cf > OMEGA:
                 trail.append("its cofinality is uncountable but not above "
                              "the number of colours")
-                return CasePath.C2aIIB, Exists(mul(big, succ))
+                return CasePath.C2aIIB, Exists(mul(big, succ)), None, None
             trail.append("its cofinality is countable")
             delta = cb_rank(big.leading_exponent())
             assert delta != succ, "tail exponent cannot be the successor " \
@@ -268,23 +280,23 @@ def _case_tree(norm: NormalizedInstance, trail: List[str]) -> tuple:
             if delta < succ:
                 trail.append("the exponent's tail rank is below the "
                              "successor of the number of colours")
-                return CasePath.C2aIIC_lt, Exists(mul(big, succ))
+                return CasePath.C2aIIC_lt, Exists(mul(big, succ)), None, None
             trail.append("the exponent's tail rank is above the successor "
                          "of the number of colours")
-            return CasePath.C2aIIC_gt, Exists(big)
+            return CasePath.C2aIIC_gt, Exists(big), None, None
         trail.append("finitely many colours")
         if any(t == OMEGA for t, _ in norm.entries):
             trail.append("some other target equals w")
             if is_power_of_omega(big):
                 trail.append("the large target is a power of w")
-                return CasePath.C2bI, Exists(big)
+                return CasePath.C2bI, Exists(big), None, None
             trail.append("the large target is not a power of w")
-            return CasePath.C2bII, Exists(mul(big, OMEGA))
+            return CasePath.C2bII, Exists(mul(big, OMEGA)), None, None
         trail.append("every other target is finite")
         if is_power_of_omega(big) or kappa == Cardinal.finite(1):
             trail.append("the large target is a power of w, or it is the "
                          "only target")
-            return CasePath.C2cI, Exists(biembed_canonical(big))
+            return CasePath.C2cI, Exists(biembed_canonical(big)), None, None
         trail.append("the large target is not a power of w and there are "
                      "other targets")
         # w^g*m + 1 <= big <= w^g*(m+1), and m >= 1 as big is not w^g
@@ -292,22 +304,23 @@ def _case_tree(norm: NormalizedInstance, trail: List[str]) -> tuple:
         others = sum((int(t) - 1) * c.size for t, c in norm.entries
                      if t != big)
         # the value as a normal form: g > 0 because big exceeds w_1
-        return CasePath.C2cII, Exists(_build(((g, others + m), (ZERO, 1))))
+        value = _build(((g, others + m), (ZERO, 1)))
+        return CasePath.C2cII, Exists(value), None, None
 
     trail.append("no target exceeds w_1")
     at_w1 = 0 if countable else _copies(norm, OMEGA1)
     if at_w1 >= 2:
         trail.append("at least two copies of w_1 among the targets")
         return CasePath.C3, Independent(
-            zfc_lower=max(OMEGA2, kappa.successor().as_ordinal()))
+            zfc_lower=max(OMEGA2, kappa.successor().as_ordinal())), None, None
     if at_w1 == 1:
         trail.append("exactly one copy of w_1 among the targets")
         return CasePath.C4, Exists(
-            max(OMEGA1, kappa.successor().as_ordinal()))
+            max(OMEGA1, kappa.successor().as_ordinal())), None, None
     trail.append("every target is countable")
     if not kappa.is_finite():
         trail.append("infinitely many colours")
-        return CasePath.C5, Exists(kappa.successor().as_ordinal())
+        return CasePath.C5, Exists(kappa.successor().as_ordinal()), None, None
     trail.append("finitely many colours")
     # one pass: each target is split once and its count scales its terms.
     # It merges gamma, the natural sum of the g, counts the copies with
@@ -320,7 +333,7 @@ def _case_tree(norm: NormalizedInstance, trail: List[str]) -> tuple:
             trail.append("some target is a power of w")
             return CasePath.C6b, Exists(omega_pow(mr_sum_counted(
                 [(minimal_omega_power_bound(t), c.size)
-                 for t, c in norm.entries])))
+                 for t, c in norm.entries]))), None, None
         decs.append(dec)
         c = c.size
         total += (m - 1) * c
@@ -333,7 +346,7 @@ def _case_tree(norm: NormalizedInstance, trail: List[str]) -> tuple:
             least, first = rank, i if exact else None
     if not rows:
         trail.append("every target is finite")
-        return CasePath.C6a, Exists(from_int(total))
+        return CasePath.C6a, Exists(from_int(total)), None, None
     trail.append("no target is a power of w and some target is infinite")
     # it dominates when every copy but its own one has m = 1
     s = first if heavy == (first is not None and decs[first][1] > 1) else None

@@ -19,6 +19,7 @@ texts share one immutable value; syntax errors are not kept.
 
 from __future__ import annotations
 
+import reprlib
 from functools import lru_cache
 
 from .ordinal import (
@@ -41,8 +42,11 @@ from .ordinal import (
 # well inside Python's stack at this depth
 MAX_NESTING = 100
 
-# longest stretch of the source that a syntax error message quotes
+# longest stretch of the source that a syntax error message quotes, and
+# the repr that error messages echo outside values with, strings cut short
 EXCERPT = 40
+BRIEF = reprlib.Repr()
+BRIEF.maxstring = EXCERPT
 
 
 class OrdinalSyntaxError(ValueError):

@@ -378,8 +378,8 @@ def criterion_7() -> CriterionResult:
             return False, f"grid has {len(instances)} instances"
         verified = tampers = 0
         for inst in instances:
+            result = p_top(inst)    # walks the case tree; normalize reuses it
             norm = normalize(inst)
-            result = p_top(inst)
             _check(isinstance(norm, NormalizedInstance),
                    "normalize(inst) is a NormalizedInstance", inst=inst)
             _check(isinstance(result, Exists), "p_top(inst) is Exists",

@@ -68,7 +68,7 @@ from .ordinal import (
     left_subtract,
     natural_sum,
 )
-from .parser import parse_ordinal
+from .parser import BRIEF, parse_ordinal
 
 
 class OutOfScope(ValueError):
@@ -168,24 +168,30 @@ def witness_from_json(doc: dict):
     ordinal or unknown mode or kind ValueError."""
     def array(x, pair=False):  # a string or object would iterate as well
         if type(x) is not list or pair and len(x) != 2:
-            raise TypeError(f"{x!r} is not {'a pair' if pair else 'an array'}")
+            raise TypeError(f"{BRIEF.repr(x)} is not "
+                            f"{'a pair' if pair else 'an array'}")
         return x
 
     def integer(x):  # JSON's 1.7, true and "1" are not colours or bounds
         if type(x) is not int:
-            raise TypeError(f"{x!r} is not an integer")
+            raise TypeError(f"{BRIEF.repr(x)} is not an integer")
         return x
 
     def ordinal(x):  # so that no list or object reaches the parser's cache
         if type(x) is not str:
-            raise TypeError(f"{x!r} is not a string")
+            raise TypeError(f"{BRIEF.repr(x)} is not a string")
         return parse_ordinal(x)
+
+    def member(kind, x):  # kind(x)'s own error would echo x in full
+        if x in [m.value for m in kind]:
+            return kind(x)
+        raise ValueError(f"{BRIEF.repr(x)} is not a valid {kind.__name__}")
 
     def opt(x, read=ordinal):
         return None if x is None else read(x)
     col = RankColouring(
         domain=ordinal(doc["domain"]),
-        mode=ColouringMode(doc["mode"]),
+        mode=member(ColouringMode, doc["mode"]),
         rank_classes=tuple(
             tuple((ordinal(lo), ordinal(hi))
                   for lo, hi in (array(p, pair=True) for p in array(union)))
@@ -194,7 +200,7 @@ def witness_from_json(doc: dict):
         zero_colour=opt(doc["zero_colour"], integer))
     certs = tuple(ObstructionCertificate(
         colour=integer(c["colour"]),
-        kind=CertKind(c["kind"]),
+        kind=member(CertKind, c["kind"]),
         claimed_target=ordinal(c["claimed_target"]),
         level=opt(c["level"]),
         bound=opt(c["bound"], integer),
@@ -458,7 +464,8 @@ def build_counterexample(beta, norm: NormalizedInstance):
     """A colouring of [0, beta) defeating every target, with one
     certificate per colour.  Supported for the countable finite-colour
     cases with at most MAX_COLOURS colours and for the two-target
-    provably-no-value case."""
+    provably-no-value case.  A degenerate instance's Exists in place of
+    a norm raises TypeError."""
     beta = _coerce(beta)
     facts = classify(norm)
     if facts.case is CasePath.C1:
@@ -615,9 +622,11 @@ def verify_certificates(col: RankColouring, norm: NormalizedInstance,
     exactly.  Any single altered field changes some recomputed value or
     violates well-formedness, so the verdict flips.  Each part is read
     once (see the module docstring); integer fields must be exact ints,
-    ordinal fields Ordinals or ints >= 0, else the verdict is False."""
+    ordinal fields Ordinals or ints >= 0, and norm no degenerate
+    instance's Exists, else the verdict is False."""
     # compare the colour count before listing a target per colour
-    if not norm.kappa.is_finite() or col.colours != norm.kappa.size:
+    if not (isinstance(norm, NormalizedInstance) and norm.kappa.is_finite()
+            and col.colours == norm.kappa.size):
         return False
     flat = _by_colour(norm)
     k = len(flat)

@@ -203,6 +203,46 @@ def test_verify_reads_arrays_and_strings_only_where_they_belong(
     assert captured.err.count("\n") == 1
 
 
+def verify_with(tmp_path, capsys, path, value):
+    """(exit code, stdout, stderr) of verify on the file of `witness w^2+1
+    w*2:2 --json` with the value at path set to value."""
+    assert run(["witness", "w^2+1", "w*2:2", "--json"]) == 0
+    env = json.loads(capsys.readouterr().out)
+    node = env["result"]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    wit = tmp_path / "wit.json"
+    wit.write_text(json.dumps(env))
+    code = run(["verify", str(wit)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("path", [
+    ("certificates", 0, "colour"), ("mode",), ("certificates", 0, "kind"),
+    ("rank_classes", 0, 0, 1), ("instance", 0), ("instance",)])
+def test_verify_errors_echo_a_long_value_briefly(tmp_path, capsys, path):
+    code, out, err = verify_with(tmp_path, capsys, path, "x" * 100_000)
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    assert err.count("\n") == 1 and len(err.encode()) <= 200
+
+
+@pytest.mark.parametrize("path,value,err", [
+    # a short value is echoed in full, as the enum's own message did
+    (("mode",), "ranked", "error: 'ranked' is not a valid ColouringMode\n"),
+    (("certificates", 0, "kind"), ["Derivative"],
+     "error: ['Derivative'] is not a valid CertKind\n"),
+    (("certificates", 0, "colour"), "0",
+     "error: not a witness file: '0' is not an integer\n"),
+    (("instance",), "w*2:2",
+     "error: not a witness file: 'w*2:2' is not an array of strings\n"),
+])
+def test_verify_errors_echo_a_short_value_in_full(tmp_path, capsys, path,
+                                                   value, err):
+    assert verify_with(tmp_path, capsys, path, value) == (2, "", err)
+
+
 def test_verify_error_paths(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert run(["verify", str(missing)]) == 2
@@ -569,6 +609,10 @@ usage: ordpigeon witness [-h] [--json] [--unicode]
 ordpigeon witness: error: the following arguments are required: \
 TARGET[:COUNT]
 """),
+    # printed by the top-level parser after a subcommand was named, so a
+    # build of only that subparser must keep the full choice list
+    (["classify", "w", "w"],
+     TOP_USAGE + "ordpigeon: error: unrecognized arguments: w\n"),
 ]
 
 

@@ -11,12 +11,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordpigeon import cli, witness
+from ordpigeon import cli, engine, witness
 from ordpigeon.engine import (
     Exists,
     Instance,
     NormalizedInstance,
     analyze,
+    classify,
     normalize,
     p_top,
 )
@@ -37,7 +38,12 @@ from ordpigeon.ordinal import (
 )
 from ordpigeon.oracle import mr_sum_bruteforce_check
 from ordpigeon.parser import parse_expression
-from ordpigeon.selftest import _maximal_failing, _tamper_all, _witness_grid
+from ordpigeon.selftest import (
+    _maximal_failing,
+    _tamper_all,
+    _witness_grid,
+    criterion_7,
+)
 from ordpigeon.witness import (
     CertKind,
     ColouringMode,
@@ -616,6 +622,72 @@ def test_build_succeeds_just_below_and_refuses_at_the_value(entries, value,
     assert verify_certificates(col, norm, certs)
     with pytest.raises(NotBelowThreshold):
         build_counterexample(value, norm)
+
+
+# -- one case-tree walk per instance ----------------------------------------------
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The norms the case tree is walked for, from here on."""
+    walked = []
+    case_tree = engine._case_tree
+
+    def counted(norm, trail):
+        walked.append(norm)
+        return case_tree(norm, trail)
+    monkeypatch.setattr(engine, "_case_tree", counted)
+    return walked
+
+
+@pytest.mark.parametrize("entries,beta", [
+    (((add(w, 1), 2),), wp(2)),                                 # C6cII
+    (((mul(w, 2), 2),), add(wp(2), 1)),                         # C6cI
+    (((add(w, 1), 1), (wp(2), 1)), add(mul(wp(2), 9), 5)),      # C6b
+    (((3, 1), (2, 2)), from_int(3)),                            # C6a
+    (((add(w1, 1), 1), (add(w, 1), 1)), mul(w1, 3)),            # C1
+])
+def test_the_value_and_both_builds_take_one_walk(walks, entries, beta):
+    # the order of a witness round: the value, the instance's norm, a
+    # build below the value and the refused build at it
+    inst = Instance.of(*entries)
+    result = analyze(inst).result
+    norm = normalize(inst)
+    assert norm is analyze(inst).normalized
+    build_counterexample(beta, norm)
+    if isinstance(result, Exists):
+        with pytest.raises(NotBelowThreshold):
+            build_counterexample(result.value, norm)
+    assert len(walks) == 1 and walks[0] is norm
+
+
+def test_criterion_7_walks_once_per_grid_instance(walks):
+    result = criterion_7()
+    assert result.ok, result.line()
+    assert len(walks) == len(set(map(id, walks))) == 50
+
+
+def test_a_norm_built_afresh_is_walked_afresh(walks):
+    # the memo is per object: an equal norm has its own
+    a, b = norm_of((add(w, 1), 3)), norm_of((add(w, 1), 3))
+    assert a == b and a is not b
+    assert classify(a) == classify(a) == classify(b)
+    assert list(map(id, walks)) == [id(a), id(b)]
+
+
+@pytest.mark.parametrize("entries", [(1, 1), (0, w), (w, 0)])
+def test_a_degenerate_instance_has_no_case_and_no_witness(entries):
+    inst = Instance.of(*entries)
+    norm = normalize(inst)
+    assert not isinstance(norm, NormalizedInstance)
+    analyze(inst)
+    assert normalize(inst) == norm      # the analysis's degenerate answer
+    with pytest.raises(TypeError, match="not a NormalizedInstance"):
+        classify(norm)
+    with pytest.raises(TypeError, match="not a NormalizedInstance"):
+        build_counterexample(ZERO, norm)
+    _, col, certs = built(from_int(2), (3, 1))
+    assert not verify_certificates(col, norm, certs)
 
 
 # -- counts against their copies --------------------------------------------------
