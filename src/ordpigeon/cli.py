@@ -47,8 +47,8 @@ Handler = Tuple[Envelope, List[str], int]
 def _parse_operand(text: str) -> Ordinal:
     expr = parse_expression(text)
     if expr.noncanonical:
-        print(f"note: {text!r} is not in normal form, reading it as "
-              f"{format_cnf(expr.value)!r}", file=sys.stderr)
+        print(f"note: {BRIEF.repr(text)} is not in normal form, reading it "
+              f"as {BRIEF.repr(format_cnf(expr.value))}", file=sys.stderr)
     return expr.value
 
 

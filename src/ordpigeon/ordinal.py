@@ -547,7 +547,8 @@ class Cardinal(Record):
     def __repr__(self):
         if self.aleph_index is None:
             return str(self.size)
-        return "aleph_" + _format_index(self.aleph_index)
+        return "aleph" + _after_omega(self.aleph_index, "_", "_{}".format,
+                                      True, _ASCII)
 
 
 def _coerce_card(x) -> Cardinal:
@@ -570,32 +571,44 @@ def cardinal_sum(cards: Iterable[Cardinal]) -> Cardinal:
     return Cardinal(best, 0) if best is not None else Cardinal(None, total)
 
 
-# -- formatting (ascii w-notation, reused by the parser module) --------------
+# -- formatting: the ascii and unicode styles -----------------------------------
+
+_SUP = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
+_SUB = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
+
+# a style: omega, the product sign, the text of a finite exponent (other
+# than 1) and of a finite atom index, and whether an atom index w or w_nu
+# goes unbracketed (an exponent w always does)
+_ASCII = ("w", "*", "^{}".format, "_{}".format, True)
+_UNICODE = ("ω", "·", lambda n: str(n).translate(_SUP),
+            lambda n: str(n).translate(_SUB), False)
 
 
-def _format_index(nu: Ordinal) -> str:
-    # an atom's index, or an exponent other than 0, 1 and an atom
-    if nu.is_finite():
-        return str(int(nu))
-    if type(nu) is Atom or nu == OMEGA:
-        return format_cnf(nu)
-    return "(" + format_cnf(nu) + ")"
+def _after_omega(x: Ordinal, mark: str, finite, bare: bool, style) -> str:
+    # the exponent x (mark "^") or atom index x (mark "_") after omega
+    if x.is_finite():
+        return finite(int(x))
+    if bare and (type(x) is Atom or x == OMEGA):
+        return mark + format_cnf(x, style)
+    return mark + "(" + format_cnf(x, style) + ")"
 
 
-def format_cnf(x: Ordinal) -> str:
-    """Render in the ascii grammar: w^2*4+1, w_1*2+w, and so on."""
+def format_cnf(x: Ordinal, _style=_ASCII) -> str:
+    """Render in the ascii grammar: w^2*4+1, w_1*2+w, and so on.  The one
+    walk for both styles: format_ordinal passes the unicode style."""
     if x.is_zero():
         return "0"
+    w, times, exponent, index, bare = _style
     parts = []
     for e, c in x.monomials:
         if type(e) is Atom:
-            base = "w_" + _format_index(e.index)
+            base = w + _after_omega(e.index, "_", index, bare, _style)
         elif e.is_zero():
             parts.append(str(c))
             continue
         elif e == ONE:
-            base = "w"
+            base = w
         else:
-            base = "w^" + _format_index(e)
-        parts.append(base if c == 1 else base + "*" + str(c))
+            base = w + _after_omega(e, "^", exponent, True, _style)
+        parts.append(base if c == 1 else base + times + str(c))
     return "+".join(parts)

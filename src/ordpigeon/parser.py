@@ -1,4 +1,5 @@
-"""Text syntax for ordinals and cardinals.
+"""The text grammar for ordinals and cardinals; the two output styles
+are rendered by ordinal.format_cnf, and format_ordinal picks one.
 
 ascii grammar, whitespace allowed between tokens:
 
@@ -10,8 +11,8 @@ ascii grammar, whitespace allowed between tokens:
 
 Terms are summed left to right, so inputs that are out of order or
 unmerged ("1+w", "w+w") are accepted and normalised; the expression
-wrapper flags them as non-canonical.  format_ordinal is the inverse on
-canonical forms.
+wrapper flags them as non-canonical.  The ascii style of format_ordinal
+is the inverse on canonical forms.
 
 parse_expression keeps its last 512 successful parses by text, so equal
 texts share one immutable value; syntax errors are not kept.
@@ -23,11 +24,11 @@ import reprlib
 from functools import lru_cache
 
 from .ordinal import (
-    Atom,
     Cardinal,
     OMEGA,
     Ordinal,
     Record,
+    _UNICODE,
     add,
     format_cnf,
     from_int,
@@ -179,44 +180,10 @@ def parse_cardinal(text: str) -> Cardinal:
     return card
 
 
-_SUP = str.maketrans("0123456789", "⁰¹²³⁴"
-                                   "⁵⁶⁷⁸⁹")
-_SUB = str.maketrans("0123456789", "₀₁₂₃₄"
-                                   "₅₆₇₈₉")
-
-
-def _unicode_atom_index(nu: Ordinal) -> str:
-    if nu.is_finite():
-        return str(int(nu)).translate(_SUB)
-    return "_(" + _unicode_cnf(nu) + ")"
-
-
-def _unicode_cnf(x: Ordinal) -> str:
-    if x.is_zero():
-        return "0"
-    parts = []
-    for e, c in x.monomials:
-        if isinstance(e, Atom):
-            base = "ω" + _unicode_atom_index(e.index)
-        elif e.is_zero():
-            parts.append(str(c))
-            continue
-        elif e == from_int(1):
-            base = "ω"
-        elif e.is_finite():
-            base = "ω" + str(int(e)).translate(_SUP)
-        elif e == OMEGA:
-            base = "ω^ω"
-        else:
-            base = "ω^(" + _unicode_cnf(e) + ")"
-        parts.append(base if c == 1 else base + "·" + str(c))
-    return "+".join(parts)
-
-
 def format_ordinal(a: Ordinal, style: str = "ascii") -> str:
     """Render canonically; the ascii style re-parses to the same value."""
     if style == "ascii":
         return format_cnf(a)
     if style == "unicode":
-        return _unicode_cnf(a)
+        return format_cnf(a, _UNICODE)
     raise ValueError(f"unknown style {style!r}")

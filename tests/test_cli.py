@@ -124,6 +124,17 @@ def test_noncanonical_note_on_stderr(capsys):
     assert "not in normal form" in captured.err
 
 
+def test_noncanonical_note_echoes_a_long_operand_briefly(capsys):
+    assert run(["ptop", "1+w*2+1"]) == 0
+    assert capsys.readouterr().err == \
+        "note: '1+w*2+1' is not in normal form, reading it as 'w*2+1'\n"
+    text = "+".join(["0"] * 20_000 + ["w*2"])
+    assert run(["ptop", f"{text}:2"]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("note: '0+0+") and err.count("\n") == 1
+    assert len(err) < 200
+
+
 def test_witness_verify_round_trip(tmp_path, capsys):
     assert run(["witness", "w^3", "w+1:3", "--json"]) == 0
     payload = capsys.readouterr().out
@@ -279,6 +290,16 @@ def test_witness_needs_space_below_threshold(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("args,err", [
+    # C6cI where the domain's tail is too large for residual counting
+    (["w^2+w+1", "w+1", "w*2"],
+     "domain tail too large for the residual-counting certificate"),
+    (["3", "0", "2"], "the instance is degenerate; no witness applies"),
+])
+def test_witness_refusals_are_pinned(args, err):
+    assert run_captured(["witness", *args]) == (2, "", f"error: {err}\n")
+
+
 def test_witness_that_fails_its_own_check_is_an_error(monkeypatch, capsys):
     # the check is a plain test, so it holds under python -O too
     import ordpigeon.witness as witness_mod
@@ -324,6 +345,18 @@ def test_huge_counts_in_c6_answer_at_once(capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "at most 256 colours" in err
+
+
+def test_huge_domains_stop_at_a_point_bound(capsys):
+    # a witness lists a colour per point of maximal rank, so its build
+    # stops at a bound on the domain's leading coefficient
+    for argv, coefficient in [
+            (["10000000000", "10000000001", "2"], 10000000000),
+            (["w*10000000000+1", "w*10000000001+1", "2"], 10000000000),
+            (["100001", "100002"], 100001)]:
+        assert run(["witness", *argv]) == 2
+        assert capsys.readouterr().err == "error: witnesses are built for " \
+            f"a leading coefficient of at most 100000, not {coefficient}\n"
 
 
 def test_overdeep_nesting_is_a_usage_error(capsys):
@@ -663,6 +696,19 @@ ENVELOPES = [
              "level": None, "bound": None, "class_residual": None,
              "target_residual": None} for i, t in enumerate(["w_1+1", "w+1"])],
         "instance": ["w_1+1:1", "w+1:1"]}),
+    # C6b with the power of w second: it takes both top points
+    (["w^2*2+1", "w+1", "w^2"], {
+        "domain": "w^2*2+1", "mode": "rank",
+        "rank_classes": [[["0", "1"]], [["1", "2"]]],
+        "top_point_colours": [1, 1], "zero_colour": None,
+        "certificates": [
+            {"colour": 0, "kind": "DerivativeEmpty", "claimed_target": "w+1",
+             "level": "1", "bound": None, "class_residual": None,
+             "target_residual": None},
+            {"colour": 1, "kind": "DerivativeSmall", "claimed_target": "w^2",
+             "level": "1", "bound": 2, "class_residual": None,
+             "target_residual": None}],
+        "instance": ["w+1:1", "w^2:1"]}),
 ]
 
 

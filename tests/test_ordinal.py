@@ -416,6 +416,15 @@ def test_cardinal_order_and_successor():
     assert Cardinal.aleph(w).successor() == Cardinal.aleph(w + 1)
 
 
+def test_reflected_operators_and_cardinal_order_against_ints():
+    assert 3 + w == w and 2 * w == w
+    assert 3 + wp(2) == wp(2) and 2 * (w + 1) == w + 2
+    assert Cardinal.finite(3) <= 3 and not Cardinal.finite(3) <= 2
+    assert Cardinal.aleph(0) > 5 and not Cardinal.finite(5) > 5
+    assert Cardinal.finite(4) >= 4 and not Cardinal.finite(3) >= 4
+    assert Cardinal.aleph(0) >= 10 ** 9
+
+
 def test_cardinal_sum_and_ordinal_view():
     assert cardinal_sum([Cardinal.finite(2), Cardinal.finite(3)]) == Cardinal.finite(5)
     assert cardinal_sum([Cardinal.finite(2), Cardinal.aleph(0)]) == Cardinal.aleph(0)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ordpigeon.ordinal import (
+    Cardinal,
     OMEGA,
     OMEGA1,
     ZERO,
@@ -187,14 +188,42 @@ def test_ten_thousand_round_trips():
         assert not expr.noncanonical, text
 
 
+# each atom index shape, each exponent shape with a coefficient, and a
+# finite value: (value, ascii, unicode)
+STYLE_PINS = [
+    (initial_ordinal(w), "w_w", "ω_(ω)"),
+    (OMEGA1, "w_1", "ω₁"),
+    (initial_ordinal(add(w, 1)), "w_(w+1)", "ω_(ω+1)"),
+    (initial_ordinal(12), "w_12", "ω₁₂"),
+    (initial_ordinal(OMEGA1), "w_w_1", "ω_(ω₁)"),
+    (mul(initial_ordinal(OMEGA1), 2), "w_w_1*2", "ω_(ω₁)·2"),
+    (add(mul(wp(2), 4), 1), "w^2*4+1", "ω²·4+1"),
+    (mul(wp(w), 2), "w^w*2", "ω^ω·2"),
+    (wp(w), "w^w", "ω^ω"),
+    (mul(wp(add(w, 1)), 3), "w^(w+1)*3", "ω^(ω+1)·3"),
+    (wp(add(w, 1)), "w^(w+1)", "ω^(ω+1)"),
+    (mul(wp(add(OMEGA1, 1)), 5), "w^(w_1+1)*5", "ω^(ω₁+1)·5"),
+    (add(mul(OMEGA1, 2), mul(w, 7)), "w_1*2+w*7", "ω₁·2+ω·7"),
+    (from_int(12), "12", "12"),
+    (ZERO, "0", "0"),
+]
+
+
 def test_unicode_style():
-    assert format_ordinal(add(mul(wp(2), 4), 1), "unicode") == "ω²·4+1"
-    assert format_ordinal(OMEGA1, "unicode") == "ω₁"
-    assert format_ordinal(wp(w), "unicode") == "ω^ω"
-    assert format_ordinal(wp(add(w, 1)), "unicode") == "ω^(ω+1)"
-    assert format_ordinal(initial_ordinal(OMEGA1), "unicode") == \
-        "ω_(ω₁)"
-    assert format_ordinal(from_int(12), "unicode") == "12"
+    for value, _, unicode in STYLE_PINS:
+        assert format_ordinal(value, "unicode") == unicode
+
+
+def test_ascii_style():
+    for value, ascii, _ in STYLE_PINS:
+        assert format_ordinal(value, "ascii") == format_cnf(value) == ascii
+        assert parse_ordinal(ascii) == value
+
+
+def test_cardinal_reprs():
+    assert [repr(Cardinal.aleph(nu)) for nu in (0, w, OMEGA1, add(w, 1))] \
+        == ["aleph_0", "aleph_w", "aleph_w_1", "aleph_(w+1)"]
+    assert repr(Cardinal.finite(7)) == "7"
 
 
 def test_ascii_style_matches_format_cnf():

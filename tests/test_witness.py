@@ -748,6 +748,20 @@ def test_witnesses_stop_at_the_colour_bound():
             built(wp(2), add(wp(2), 1), (3, count))
 
 
+def test_witnesses_stop_at_the_point_bound():
+    # a finite beta lists every point, an infinite one its top points
+    bound = witness.MAX_POINTS
+    norm = norm_of(from_int(bound + 1))
+    col, certs = build_counterexample(from_int(bound), norm)
+    assert len(col.top_point_colours) == bound - 1
+    assert verify_certificates(col, norm, certs)
+    for beta, target in [(from_int(10 ** 10), from_int(10 ** 10 + 1)),
+                         (add(mul(w, 10 ** 10), 1), add(mul(w, 10 ** 10), 2))]:
+        with pytest.raises(OutOfScope,
+                           match=f"at most {bound}, not {10 ** 10}"):
+            build_counterexample(beta, norm_of(target, 2))
+
+
 def test_many_equal_bounds_split_at_once():
     # each part below w+1 must take less than w at the last position; a
     # search that offers it all of w there grows about threefold per colour
