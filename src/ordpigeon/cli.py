@@ -14,15 +14,6 @@ import os
 import sys
 from typing import List, Optional, Sequence, Tuple
 
-from .engine import (
-    Analysis,
-    Exists,
-    Infinite,
-    Instance,
-    NormalizedInstance,
-    analyze,
-    normalize,
-)
 from .ordinal import (
     Cardinal,
     Ordinal,
@@ -59,8 +50,12 @@ def _parse_entry(text: str) -> Tuple[Ordinal, Cardinal]:
     return target, count
 
 
-def _parse_instance(texts: Sequence[str]) -> Instance:
-    return Instance.of(*(_parse_entry(t) for t in texts))
+def _parse_instance(texts: Sequence[str]):
+    entries = [_parse_entry(t) for t in texts]
+    # the engine is loaded only by the subcommands that analyse, and only
+    # once their operands have parsed
+    from .engine import Instance
+    return Instance.of(*entries)
 
 
 def _fmt(ns: argparse.Namespace):
@@ -68,31 +63,34 @@ def _fmt(ns: argparse.Namespace):
     return lambda v: format_ordinal(v, style)
 
 
-def _result_payload(result) -> dict:
+def _analyse(ns):
+    """The analysis of ns.entries, its JSON result and its text lines."""
+    inst = _parse_instance(ns.entries)
+    from .engine import Exists, Infinite, analyze
+    analysis = analyze(inst)
+    result, fmt = analysis.result, _fmt(ns)
     if isinstance(result, Exists):
-        return {"kind": "exists", "value": format_cnf(result.value)}
-    if isinstance(result, Infinite):
-        return {"kind": "infinite"}
-    return {
-        "kind": "independent",
-        "zfc_lower": format_cnf(result.zfc_lower),
-        "notes": {
-            "consistent_infinite": result.consistent_infinite,
-            "consistent_equal_lower": result.consistent_equal_lower,
-            "equiconsistency": result.equiconsistency,
-        },
-    }
-
-
-def _result_lines(result, fmt) -> List[str]:
-    if isinstance(result, Exists):
-        return [fmt(result.value)]
-    if isinstance(result, Infinite):
-        return ["infinite: no ordinal satisfies the relation"]
-    return [f"independent of ZFC; provable lower bound {fmt(result.zfc_lower)}",
+        payload = {"kind": "exists", "value": format_cnf(result.value)}
+        lines = [fmt(result.value)]
+    elif isinstance(result, Infinite):
+        payload = {"kind": "infinite"}
+        lines = ["infinite: no ordinal satisfies the relation"]
+    else:
+        payload = {
+            "kind": "independent",
+            "zfc_lower": format_cnf(result.zfc_lower),
+            "notes": {
+                "consistent_infinite": result.consistent_infinite,
+                "consistent_equal_lower": result.consistent_equal_lower,
+                "equiconsistency": result.equiconsistency,
+            },
+        }
+        lines = [
+            f"independent of ZFC; provable lower bound {fmt(result.zfc_lower)}",
             f"  {result.consistent_infinite}",
             f"  {result.consistent_equal_lower}",
             f"  {result.equiconsistency}"]
+    return analysis, payload, lines
 
 
 def _envelope(command: str, inputs: Sequence[str], result, **extra) -> Envelope:
@@ -102,12 +100,9 @@ def _envelope(command: str, inputs: Sequence[str], result, **extra) -> Envelope:
 
 
 def _cmd_ptop(ns) -> Handler:
-    analysis = analyze(_parse_instance(ns.entries))
-    env = _envelope("ptop", ns.entries, _result_payload(analysis.result),
-                    case_path=analysis.case.value)
-    lines = _result_lines(analysis.result, _fmt(ns))
-    lines.append(f"case {analysis.case.value}")
-    return env, lines, 0
+    analysis, result, lines = _analyse(ns)
+    env = _envelope("ptop", ns.entries, result, case_path=analysis.case.value)
+    return env, lines + [f"case {analysis.case.value}"], 0
 
 
 _SUMS = {"pord": p_ord, "mrsum": mr_sum,
@@ -161,22 +156,20 @@ def _cmd_classify(ns) -> Handler:
 
 
 def _cmd_case(ns) -> Handler:
-    analysis: Analysis = analyze(_parse_instance(ns.entries))
-    env = _envelope("case", ns.entries, _result_payload(analysis.result),
-                    case_path=analysis.case.value,
+    analysis, result, lines = _analyse(ns)
+    env = _envelope("case", ns.entries, result, case_path=analysis.case.value,
                     citations=list(analysis.trail))
-    lines = [f"case {analysis.case.value}"]
-    lines += [f"  {step}" for step in analysis.trail]
-    lines += _result_lines(analysis.result, _fmt(ns))
-    return env, lines, 0
+    return env, [f"case {analysis.case.value}",
+                 *(f"  {step}" for step in analysis.trail), *lines], 0
 
 
 def _cmd_witness(ns) -> Handler:
-    # the witness layer is imported only by the two subcommands that use it
-    from .witness import (build_counterexample, verify_certificates,
-                          witness_to_json)
     beta = _parse_operand(ns.beta)
     inst = _parse_instance(ns.entries)
+    # the engine and the witness layer load here, once the operands parsed
+    from .engine import NormalizedInstance, normalize
+    from .witness import (build_counterexample, verify_certificates,
+                          witness_to_json)
     norm = normalize(inst)
     if not isinstance(norm, NormalizedInstance):
         raise ValueError("the instance is degenerate; no witness applies")
@@ -204,6 +197,7 @@ def _cmd_witness(ns) -> Handler:
 
 def _cmd_verify(ns) -> Handler:
     import json
+    from .engine import normalize
     from .witness import verify_certificates, witness_from_json
     with open(ns.file, "r", encoding="utf-8") as fh:
         envelope = json.load(fh)
@@ -267,19 +261,21 @@ _SUBCOMMANDS = (
 )
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true",
-                        help="emit a JSON envelope instead of text")
-    common.add_argument("--unicode", action="store_true",
-                        help="print ordinals with unicode subscripts")
-
+def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    # only the subparser that argv[0] names, or every one when it names
+    # none; the metavar keeps the full choice list in the top-level usage
+    named = [row for row in _SUBCOMMANDS if argv[:1] == [row[0]]]
     parser = argparse.ArgumentParser(
         prog="ordpigeon",
         description="pigeonhole numbers for ordinal topologies")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, handler, arguments in _SUBCOMMANDS:
-        p = sub.add_parser(name, parents=[common], help=help_text)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=(
+        "{%s}" % ",".join(row[0] for row in _SUBCOMMANDS) if named else None))
+    for name, help_text, handler, arguments in named or _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--json", action="store_true",
+                       help="emit a JSON envelope instead of text")
+        p.add_argument("--unicode", action="store_true",
+                       help="print ordinals with unicode subscripts")
         for dest, options in arguments:
             p.add_argument(dest, **options)
         p.set_defaults(handler=handler)
@@ -287,7 +283,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv)
     try:
         ns = parser.parse_args(argv)
     except SystemExit as exc:

@@ -526,9 +526,11 @@ def _build_finite(beta, flat):
 
 
 def _exception_certs(flat, levels, exceptions):
+    counts = [0] * len(flat)
+    for i in exceptions:
+        counts[i] += 1
     certs = []
-    for i, t in enumerate(flat):
-        count = exceptions.count(i)
+    for i, (t, count) in enumerate(zip(flat, counts)):
         if count:
             certs.append(ObstructionCertificate(
                 i, CertKind.DERIVATIVE_SMALL, t, level=levels[i], bound=count))

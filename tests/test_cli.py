@@ -399,7 +399,7 @@ def test_import_leaves_selftest_unloaded():
     assert loaded_after("import ordpigeon.cli", *unused) == \
         dict.fromkeys(unused, False)
     assert loaded_after("import ordpigeon.cli", "ordpigeon.engine") == \
-        {"ordpigeon.engine": True}
+        {"ordpigeon.engine": False}
     # the witness file codec lives in the witness layer, below the CLI
     above = ("ordpigeon.cli", "ordpigeon.selftest", "ordpigeon.oracle")
     assert loaded_after("import ordpigeon.witness", *above) == \
@@ -412,6 +412,46 @@ def test_import_leaves_selftest_unloaded():
     assert loaded_after("from ordpigeon import Instance", *submodules) == \
         {"ordpigeon.ordinal": True, "ordpigeon.engine": True,
          "ordpigeon.parser": False, "ordpigeon.witness": False}
+
+
+def loaded_by_call(argv, *modules):
+    """Which of modules a fresh interpreter has loaded after cli.run(argv),
+    its output captured."""
+    return loaded_after(
+        "import io; from ordpigeon import cli; "
+        "sys.stdout = sys.stderr = io.StringIO(); "
+        f"cli.run({argv!r}); sys.stdout = sys.__stdout__", *modules)
+
+
+LAYERS = ("ordpigeon.engine", "ordpigeon.witness", "ordpigeon.selftest",
+          "ordpigeon.oracle")
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "w^2+1"], ["arith", "mul", "w+1", "w"], ["mrsum", "w", "w"],
+    ["pord", "w+1", "3"], ["natsum", "w", "w^2", "--json"],
+    ["ptop", "w^(:2"], ["ptop"], ["witness", "w+"], ["ptpo", "w:2"], ["-h"]])
+def test_calls_that_do_not_analyse_leave_the_engine_unloaded(argv):
+    assert loaded_by_call(argv, *LAYERS) == dict.fromkeys(LAYERS, False)
+
+
+@pytest.mark.parametrize("argv", [["ptop", "w+1:3"],
+                                  ["case", "w^2*4+1", "w_1", "--json"]])
+def test_analysing_calls_load_the_engine_not_the_witness_layer(argv):
+    assert loaded_by_call(argv, *LAYERS) == {
+        "ordpigeon.engine": True, "ordpigeon.witness": False,
+        "ordpigeon.selftest": False, "ordpigeon.oracle": False}
+
+
+def test_witness_calls_load_the_witness_layer_not_the_grids(tmp_path):
+    code, out, _ = run_captured(["witness", "w^3", "w+1:3", "--json"])
+    assert code == 0
+    path = tmp_path / "w.json"
+    path.write_text(out, encoding="utf-8")
+    for argv in (["witness", "w^3", "w+1:3"], ["verify", str(path)]):
+        assert loaded_by_call(argv, *LAYERS) == {
+            "ordpigeon.engine": True, "ordpigeon.witness": True,
+            "ordpigeon.selftest": False, "ordpigeon.oracle": False}
 
 
 def test_closed_stdout_keeps_the_exit_code():
@@ -599,6 +639,12 @@ def test_help_texts_are_pinned(monkeypatch, command):
     assert (code, out, err) == (0, HELP[command], "")
 
 
+def test_help_before_a_subcommand_is_the_top_level_help(monkeypatch):
+    # the subcommand is read from argv[0] only, so every row is listed here
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_captured(["-h", "ptop"]) == (0, HELP[""], "")
+
+
 TOP_USAGE = """\
 usage: ordpigeon [-h]
                  {ptop,pord,mrsum,natsum,arith,classify,case,witness,verify,selftest}
@@ -757,13 +803,19 @@ ARGUMENT = st.one_of(st.text(max_size=12),
                      ENTRY, st.sampled_from(["add", "mul", "cmp"]))
 
 
+# a first token that names no subcommand builds every subparser
+HEADS = [*SUBCOMMANDS, "-h", "--help", "--json", "--unicode", "ptpo", "",
+         None]
+
+
 @settings(max_examples=320, deadline=None)
-@given(st.sampled_from(SUBCOMMANDS), st.lists(ARGUMENT, max_size=4),
+@given(st.sampled_from(HEADS), st.lists(ARGUMENT, max_size=4),
        st.lists(st.sampled_from(["--json", "--unicode"]), max_size=2))
-def test_fuzzed_arguments_end_in_a_documented_exit(command, args, flags):
-    if command == "selftest":
-        args = [*args, "x"]  # bare, it would run the acceptance grids
-    code, _, err = run_captured([command, *args, *flags])
+def test_fuzzed_arguments_end_in_a_documented_exit(head, args, flags):
+    argv = [*([] if head is None else [head]), *args, *flags]
+    if "selftest" in argv:
+        argv.append("x")  # bare, it would run the acceptance grids
+    code, _, err = run_captured(argv)
     assert_documented_exit(code, err)
 
 

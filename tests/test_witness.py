@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
@@ -760,6 +761,24 @@ def test_witnesses_stop_at_the_point_bound():
         with pytest.raises(OutOfScope,
                            match=f"at most {bound}, not {10 ** 10}"):
             build_counterexample(beta, norm_of(target, 2))
+
+
+@pytest.mark.parametrize("beta,target", [
+    (from_int(100000), from_int(400)),           # every point listed
+    (add(mul(wp(256), 600), w), add(mul(w, 5), 1))])  # the top points
+def test_each_small_bound_counts_its_colours_listed_points(beta, target):
+    norm, col, certs = built(beta, (target, 256))
+    listed = Counter(col.top_point_colours)
+    if col.zero_colour is not None:
+        listed[col.zero_colour] += 1
+    assert len(certs) == 256
+    assert {c.kind for c in certs} == {CertKind.DERIVATIVE_SMALL,
+                                       CertKind.DERIVATIVE_EMPTY}
+    for cert in certs:
+        count = listed[cert.colour]
+        assert cert.bound == (count if count else None)
+        assert cert.kind is (CertKind.DERIVATIVE_SMALL if count
+                             else CertKind.DERIVATIVE_EMPTY)
 
 
 def test_many_equal_bounds_split_at_once():
