@@ -76,20 +76,11 @@ def _analyse(ns):
         payload = {"kind": "infinite"}
         lines = ["infinite: no ordinal satisfies the relation"]
     else:
-        payload = {
-            "kind": "independent",
-            "zfc_lower": format_cnf(result.zfc_lower),
-            "notes": {
-                "consistent_infinite": result.consistent_infinite,
-                "consistent_equal_lower": result.consistent_equal_lower,
-                "equiconsistency": result.equiconsistency,
-            },
-        }
-        lines = [
-            f"independent of ZFC; provable lower bound {fmt(result.zfc_lower)}",
-            f"  {result.consistent_infinite}",
-            f"  {result.consistent_equal_lower}",
-            f"  {result.equiconsistency}"]
+        notes = {name: getattr(result, name) for name in result.NOTES}
+        payload = {"kind": "independent",
+                   "zfc_lower": format_cnf(result.zfc_lower), "notes": notes}
+        lines = ["independent of ZFC; provable lower bound "
+                 + fmt(result.zfc_lower), *(f"  {n}" for n in notes.values())]
     return analysis, payload, lines
 
 
@@ -224,14 +215,9 @@ def _cmd_selftest(ns) -> Handler:
     env = _envelope("selftest", [], {
         "kind": "selftest",
         "passed": ok,
-        "criteria": [{
-            "number": r.number,
-            "title": r.title,
-            "ok": r.ok,
-            "detail": r.detail,
-            "elapsed": round(r.elapsed, 3),
-            "limit": r.limit,
-        } for r in results],
+        # each criterion's fields in slot order, elapsed to the millisecond
+        "criteria": [{**dict(zip(r._fields, r._astuple())),
+                      "elapsed": round(r.elapsed, 3)} for r in results],
     })
     lines = [r.line() for r in results]
     lines.append("all criteria passed" if ok else "some criteria FAILED")

@@ -108,34 +108,26 @@ class Infinite(Record):
         return "Infinite"
 
 
-NOTE_CONSISTENT_INFINITE = (
-    "Prikry-Solovay: consistently (for instance under V=L) no ordinal "
-    "satisfies the relation, so the value may fail to exist."
-)
-NOTE_CONSISTENT_EQUAL = (
-    "Shelah: from a supercompact cardinal it is consistent that the value "
-    "exists and equals the provable lower bound."
-)
-NOTE_EQUICONSISTENCY = (
-    "Silver, Shelah: the two-colour relation for w_1 at the lower bound "
-    "w_2 is equiconsistent with a Mahlo cardinal."
-)
-
-
 class Independent(Record):
-    """The exact value is independent of ZFC; zfc_lower is provable."""
+    """The exact value is independent of ZFC; zfc_lower is provable.  The
+    consistency facts named in NOTES are the same for every such value."""
 
-    __slots__ = ("zfc_lower", "consistent_infinite", "consistent_equal_lower",
-                 "equiconsistency")
+    __slots__ = ("zfc_lower",)
 
-    def __init__(self, zfc_lower, consistent_infinite=NOTE_CONSISTENT_INFINITE,
-                 consistent_equal_lower=NOTE_CONSISTENT_EQUAL,
-                 equiconsistency=NOTE_EQUICONSISTENCY):
-        self._init(zfc_lower, consistent_infinite, consistent_equal_lower,
-              equiconsistency)
+    NOTES = ("consistent_infinite", "consistent_equal_lower",
+             "equiconsistency")
+    consistent_infinite = (
+        "Prikry-Solovay: consistently (for instance under V=L) no ordinal "
+        "satisfies the relation, so the value may fail to exist.")
+    consistent_equal_lower = (
+        "Shelah: from a supercompact cardinal it is consistent that the "
+        "value exists and equals the provable lower bound.")
+    equiconsistency = (
+        "Silver, Shelah: the two-colour relation for w_1 at the lower bound "
+        "w_2 is equiconsistent with a Mahlo cardinal.")
 
-    def __repr__(self):
-        return f"Independent(zfc_lower={self.zfc_lower})"
+    def __init__(self, zfc_lower):
+        self._init(zfc_lower)
 
 
 PigeonholeResult = Union[Exists, Infinite, Independent]

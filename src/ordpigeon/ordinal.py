@@ -168,30 +168,30 @@ class Ordinal(Record):
         return hash(self.monomials)
 
     def __lt__(self, other):
-        return compare(self, _coerce(other)) < 0
+        return compare(self, other) < 0
 
     def __le__(self, other):
-        return compare(self, _coerce(other)) <= 0
+        return compare(self, other) <= 0
 
     def __gt__(self, other):
-        return compare(self, _coerce(other)) > 0
+        return compare(self, other) > 0
 
     def __ge__(self, other):
-        return compare(self, _coerce(other)) >= 0
+        return compare(self, other) >= 0
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        return add(self, _coerce(other))
+        return add(self, other)
 
     def __radd__(self, other):
-        return add(_coerce(other), self)
+        return add(other, self)
 
     def __mul__(self, other):
-        return mul(self, _coerce(other))
+        return mul(self, other)
 
     def __rmul__(self, other):
-        return mul(_coerce(other), self)
+        return mul(other, self)
 
     def __repr__(self):
         return format_cnf(self)
@@ -319,15 +319,13 @@ def mul(a: Ordinal, b: Ordinal) -> Ordinal:
     a, b = _coerce(a), _coerce(b)
     if a.is_zero() or b.is_zero():
         return ZERO
-    e1, c1 = a.monomials[0]
-    out = ZERO
-    for f, d in b.monomials:
-        if not f.monomials:
-            part = _build(((e1, c1 * d),) + a.monomials[1:])
-        else:
-            part = _build(((add(e1, f), d),))
-        out = add(out, part)
-    return out
+    # a*w^f*d is w^(e1+f)*d for f > 0, and a finite d scales a's lead;
+    # the parts descend, so their monomials concatenate
+    (e1, c1), *tail = a.monomials
+    ms = [(add(e1, f), d) for f, d in b.monomials if f.monomials]
+    if b.is_successor():
+        ms += [(e1, c1 * b.monomials[-1][1]), *tail]
+    return _build(tuple(ms))
 
 
 def omega_pow(e: Union[Ordinal, int]) -> Ordinal:
@@ -384,18 +382,21 @@ def cb_rank(x: Ordinal) -> Ordinal:
 
 
 def cofinality(a: Ordinal) -> Ordinal:
-    """Cofinality: 0 for 0, 1 for successors, else w or a regular w_nu."""
+    """Cofinality: 0 for 0, 1 for successors, else w or a regular w_nu.
+    A loop down the last exponents and atom indices, not a recursion."""
     a = _coerce(a)
-    if a.is_zero():
-        return ZERO
-    e = a.monomials[-1][0]
-    if e is a:
-        # w_nu is regular for a successor nu, else as cofinal as nu
-        return a if a.index.is_successor() else cofinality(a.index)
-    if not e.monomials:
-        return ONE
-    # cf(w^e) is w for a successor e, else cf(e)
-    return OMEGA if e.is_successor() else cofinality(e)
+    while a.monomials:
+        e = a.monomials[-1][0]
+        if e is a:
+            # w_nu is regular for a successor nu, else as cofinal as nu
+            if a.index.is_successor():
+                return a
+            a = a.index
+        elif e.is_limit():
+            a = e  # cf(w^e) is cf(e) for a limit e
+        else:
+            return OMEGA if e.monomials else ONE  # w^e for a successor e
+    return ZERO
 
 
 def is_power_of_omega(x: Ordinal) -> bool:
@@ -420,7 +421,7 @@ def biembed_canonical(x: Ordinal) -> Ordinal:
     x = _coerce(x)
     if len(x.monomials) < 2:
         return x
-    return add(_build(x.monomials[:1]), ONE)
+    return _build(x.monomials[:1] + ((ZERO, 1),))
 
 
 def is_order_reinforcing(x: Ordinal) -> bool:

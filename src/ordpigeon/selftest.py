@@ -415,8 +415,7 @@ def criterion_8() -> CriterionResult:
         got = p_top(Instance.of((OMEGA1, 2)))
         _check(isinstance(got, Independent) and got.zfc_lower == OMEGA2,
                "p_top(w_1 x 2) is Independent above w_2", got=got)
-        notes = (got.consistent_infinite, got.consistent_equal_lower,
-                 got.equiconsistency)
+        notes = [getattr(got, name) for name in got.NOTES]
         _check(all(isinstance(n, str) and n for n in notes),
                "each consistency note is a non-empty string")
         return "infinite, w_1, successor-cardinal and independence " \

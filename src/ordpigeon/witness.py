@@ -627,8 +627,8 @@ def verify_certificates(col: RankColouring, norm: NormalizedInstance,
     exactly.  Any single altered field changes some recomputed value or
     violates well-formedness, so the verdict flips.  Each part is read
     once (see the module docstring); integer fields must be exact ints,
-    ordinal fields Ordinals or ints >= 0, and norm no degenerate
-    instance's Exists, else the verdict is False."""
+    ordinal fields (the domain too) Ordinals or ints >= 0, the mode a
+    ColouringMode and norm no degenerate instance's Exists, else False."""
     # compare the colour count before listing a target per colour
     if not (isinstance(norm, NormalizedInstance) and norm.kappa.is_finite()
             and col.colours == norm.kappa.size):
@@ -646,6 +646,8 @@ def verify_certificates(col: RankColouring, norm: NormalizedInstance,
             return False
     classes, tops, zero = col.rank_classes, col.top_point_colours, \
         col.zero_colour
+    if not _is_ordinal(col.domain):
+        return False
     if col.mode is ColouringMode.COFINALITY:
         return (k == 2 and not any(classes) and not tops and zero is None
                 and all(c.kind is CertKind.COFINALITY_SPLIT and c.level is None
@@ -653,7 +655,7 @@ def verify_certificates(col: RankColouring, norm: NormalizedInstance,
                         and c.target_residual is None for c in per)
                 and compare(flat[0], OMEGA1) > 0 and compare(flat[1], OMEGA) > 0)
 
-    if not _is_ordinal(col.domain):
+    if col.mode is not ColouringMode.RANK:
         return False
     ms = _coerce(col.domain).monomials
     g, m = ms[0] if ms else (ZERO, 1)

@@ -488,7 +488,49 @@ def test_selftest_reporting(monkeypatch, capsys):
     assert [c["ok"] for c in env["result"]["criteria"]] == [True, False]
 
 
-# -- pinned texts: help and witness files --------------------------------------
+def test_selftest_outputs_are_pinned(monkeypatch, capsys):
+    # elapsed is rounded to 3 places in JSON, shown to 2 in text
+    fake = [CriterionResult(1, "alpha", True, "fine", 0.01234, 1.0),
+            CriterionResult(12, "beta", False, "broke at w+1", 2.5, 5.0)]
+    monkeypatch.setattr(selftest_mod, "run_all", lambda: fake)
+    assert run(["selftest"]) == 1
+    assert capsys.readouterr().out == """\
+[pass] 1. alpha: fine (0.01s, budget 1s)
+[FAIL] 12. beta: broke at w+1 (2.50s, budget 5s)
+some criteria FAILED
+"""
+    assert run(["selftest", "--json"]) == 1
+    assert capsys.readouterr().out == """\
+{
+  "command": "selftest",
+  "inputs": [],
+  "result": {
+    "kind": "selftest",
+    "passed": false,
+    "criteria": [
+      {
+        "number": 1,
+        "title": "alpha",
+        "ok": true,
+        "detail": "fine",
+        "elapsed": 0.012,
+        "limit": 1.0
+      },
+      {
+        "number": 12,
+        "title": "beta",
+        "ok": false,
+        "detail": "broke at w+1",
+        "elapsed": 2.5,
+        "limit": 5.0
+      }
+    ]
+  }
+}
+"""
+
+
+# -- pinned texts: help, independent answers and witness files -----------------
 
 
 # every --help text, wrapped at 80 columns
@@ -643,6 +685,39 @@ def test_help_before_a_subcommand_is_the_top_level_help(monkeypatch):
     # the subcommand is read from argv[0] only, so every row is listed here
     monkeypatch.setenv("COLUMNS", "80")
     assert run_captured(["-h", "ptop"]) == (0, HELP[""], "")
+
+
+# the three consistency facts of every independent answer, in their order
+NOTES = {
+    "consistent_infinite": "Prikry-Solovay: consistently (for instance "
+    "under V=L) no ordinal satisfies the relation, so the value may fail to "
+    "exist.",
+    "consistent_equal_lower": "Shelah: from a supercompact cardinal it is "
+    "consistent that the value exists and equals the provable lower bound.",
+    "equiconsistency": "Silver, Shelah: the two-colour relation for w_1 at "
+    "the lower bound w_2 is equiconsistent with a Mahlo cardinal.",
+}
+
+
+def test_independent_answers_are_pinned():
+    trail = ["no target exceeds w_1",
+             "at least two copies of w_1 among the targets"]
+    notes = "".join(f"  {note}\n" for note in NOTES.values())
+    assert run_captured(["ptop", "w_1:2"]) == (0, "independent of ZFC; "
+                                               "provable lower bound w_2\n"
+                                               + notes + "case C3\n", "")
+    assert run_captured(["case", "w_1:aleph_3"]) == (
+        0, "case C3\n" + "".join(f"  {step}\n" for step in trail)
+        + "independent of ZFC; provable lower bound w_4\n" + notes, "")
+    for command, entry, lower, extra in (
+            ("ptop", "w_1:2", "w_2", {"case_path": "C3"}),
+            ("case", "w_1:aleph_3", "w_4",
+             {"case_path": "C3", "citations": trail})):
+        envelope = {"command": command, "inputs": [entry],
+                    "result": {"kind": "independent", "zfc_lower": lower,
+                               "notes": NOTES}, **extra}
+        assert run_captured([command, entry, "--json"]) == (
+            0, json.dumps(envelope, indent=2) + "\n", "")
 
 
 TOP_USAGE = """\

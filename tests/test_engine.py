@@ -33,6 +33,7 @@ from ordpigeon.ordinal import (
     OMEGA2,
     Ordinal,
     ZERO,
+    ZeroInput,
     add,
     cb_rank,
     format_cnf,
@@ -268,6 +269,15 @@ def test_minimal_omega_power_bound():
     assert minimal_omega_power_bound(wp(2)) == from_int(2)
     assert minimal_omega_power_bound(wp(w)) == w
     assert minimal_omega_power_bound(wp(w) + 1) == w + 1
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: minimal_omega_power_bound(0), ZeroInput, "a must be at least 1"),
+], ids=["omega-power-bound"])
+def test_documented_raises_are_pinned(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)
 
 
 def test_case6_decompose():

@@ -23,6 +23,7 @@ from ordpigeon.oracle import (
 from ordpigeon.selftest import _random_mr_bound
 from ordpigeon.witness import NatsumSplitter
 from ordpigeon.ordinal import (
+    Cardinal,
     ONE,
     OMEGA,
     OMEGA1,
@@ -147,6 +148,19 @@ def test_bruteforce_mr_agrees_with_closed_formula():
     for _ in range(25):
         bounds = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
         assert bruteforce_mr_sum(bounds) == mr_sum(bounds)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: bruteforce_mr_sum([0]), ZeroInput, "bounds must be positive"),
+    (lambda: bruteforce_mr_sum([OMEGA1]), ValueError,
+     "brute-force search is for countable bounds only"),
+    (lambda: cross_check_p_top([Instance.of((2, Cardinal.aleph(0)))]),
+     ValueError, "cross-check grids use finite colour counts"),
+], ids=["zero-bound", "uncountable-bound", "infinite-count"])
+def test_documented_raises_are_pinned(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)
 
 
 def test_mr_check_examples():

@@ -369,6 +369,15 @@ def test_a_deep_tower_answers_is_countable_without_recursion():
         assert x.is_countable() is countable
 
 
+def test_a_deep_tower_answers_cofinality_without_recursion():
+    # cofinality walks the last exponents and atom indices in a loop
+    for step, cf in ((omega_pow, w), (initial_ordinal, w2)):
+        x = from_int(2)
+        for _ in range(1500):
+            x = step(x)
+        assert cofinality(x) == cf
+
+
 def test_an_atom_against_a_deep_countable_tower_needs_no_recursion():
     # an atom exceeds every countable exponent: is_countable's loop
     # settles the pair instead of a descent down the tower
@@ -384,6 +393,18 @@ def test_leading_decomposition():
     assert (g, m, rest) == (from_int(2), 3, w + 4)
     with pytest.raises(ZeroInput):
         leading_decomposition(ZERO)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: left_subtract(wp(2), w + 5), Underflow, "w^2 > w+5"),
+    (lambda: left_subtract(w + 1, w), Underflow, "w+1 > w"),
+    (ZERO.leading_exponent, ZeroInput, "0 has no leading exponent"),
+    (ZERO.leading_coefficient, ZeroInput, "0 has no leading coefficient"),
+], ids=["subtract-lead", "subtract-tail", "exponent", "coefficient"])
+def test_documented_raises_are_pinned(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)
 
 
 def test_biembed_canonical():

@@ -94,6 +94,16 @@ def test_syntax_errors_carry_position():
             parse_cardinal(text)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: parse_expression("w^(2"), OrdinalSyntaxError,
+     "expected ')' at column 4 in 'w^(2'"),
+], ids=["unclosed-bracket"])
+def test_documented_raises_are_pinned(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
 def test_a_numeral_past_the_digit_limit_is_a_syntax_error():
     # int() refuses more digits than sys.get_int_max_str_digits() allows
     long = "9" * 5000

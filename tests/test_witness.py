@@ -305,6 +305,23 @@ def test_residual_shape_pinned():
     assert residual_shape(from_int(7), ZERO) == from_int(7)
 
 
+def uncovered_rank():
+    # a colouring whose rank classes miss rank 1 of w^2+1
+    _, col, _ = built(add(wp(2), 1), (mul(w, 2), 2))
+    return eval_colouring(replace(col, rank_classes=((), ())), w)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: natsum_split(w, [w], final_part=1), PreconditionViolated,
+     "final_part out of range"),
+    (uncovered_rank, OutOfDomain, "no colour covers rank 1"),
+], ids=["final-part", "uncovered-rank"])
+def test_documented_raises_are_pinned(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
 def test_order_type_of_union_rejects_garbage():
     with pytest.raises(PreconditionViolated):
         order_type_of_union(((w, w),))
@@ -842,6 +859,16 @@ def test_verify_rejects_fields_that_are_not_ordinals_without_raising():
                 assert not verify_certificates(
                     replace(col, rank_classes=tuple(classes)), norm, certs)
         assert not verify_certificates(replace(col, domain=bad), norm, certs)
+    # the cofinality witness's domain too, and a mode of neither kind
+    c1 = built(OMEGA1, (add(OMEGA1, 1), 1), (add(w, 1), 1))
+    for norm, col, certs in (c1, built(add(wp(2), 1), (mul(w, 2), 2))):
+        assert verify_certificates(col, norm, certs)
+        for bad in NOT_ORDINALS:
+            assert not verify_certificates(replace(col, domain=bad), norm,
+                                           certs)
+        for mode in ("rank", "cofinality", None, 0):
+            assert not verify_certificates(replace(col, mode=mode), norm,
+                                           certs)
 
 
 def test_verify_reads_int_ordinal_fields_as_ordinals():
