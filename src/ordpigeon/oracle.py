@@ -66,25 +66,29 @@ def finite_arrow_check(beta: int, targets: Sequence[int]) -> bool:
         return beta >= targets[0]
     if k ** beta > COLOURING_GUARD:
         raise TooLarge(f"{k}^{beta} colourings exceed the guard")
-    counts = [0] * k
+    return not _avoids(beta, targets, [0] * k, 0)
 
-    def counterexample(point: int) -> bool:
-        if any(counts[i] >= targets[i] for i in range(k)):
-            return False
-        if point == beta:
-            return True
-        slack = sum(targets[i] - 1 - counts[i] for i in range(k))
-        if beta - point > slack:
-            return False
-        for i in range(k):
-            counts[i] += 1
-            if counts[i] < targets[i] and counterexample(point + 1):
-                counts[i] -= 1
-                return True
-            counts[i] -= 1
+
+def _avoids(beta: int, targets: Sequence[int], counts: List[int],
+            point: int) -> bool:
+    # whether points point..beta-1 can be coloured with each class below
+    # its target, counts[i] points of colour i placed; a module function,
+    # not a closure, so that the recursion leaves no reference cycle
+    k = len(targets)
+    if any(counts[i] >= targets[i] for i in range(k)):
         return False
-
-    return not counterexample(0)
+    if point == beta:
+        return True
+    slack = sum(targets[i] - 1 - counts[i] for i in range(k))
+    if beta - point > slack:
+        return False
+    for i in range(k):
+        counts[i] += 1
+        if counts[i] < targets[i] and _avoids(beta, targets, counts, point + 1):
+            counts[i] -= 1
+            return True
+        counts[i] -= 1
+    return False
 
 
 # -- bounded enumeration of countable normal forms -----------------------------

@@ -49,10 +49,11 @@ class Record:
     read, so each constructor takes its fields positionally in slot
     order, keeps its own checks and ends in one _init(...) call that
     writes every slot.  It keeps dataclasses (and the inspect, ast and
-    dis it loads) off the CLI's start-up.  Only the two witness-file
-    types, RankColouring and ObstructionCertificate, stay dataclasses:
-    the self-test, the tests and the benchmark tamper with them through
-    dataclasses.replace, and witness_to_json walks dataclasses.fields.
+    dis it loads) off the CLI's start-up.  The two witness-file types,
+    RankColouring and ObstructionCertificate, are Records too, and are
+    also registered as dataclasses with no generated method, only so
+    that dataclasses.replace works on them: the self-test, the tests
+    and the benchmark tamper with witnesses through it.
     """
 
     __slots__ = ()
@@ -577,18 +578,20 @@ def cardinal_sum(cards: Iterable[Cardinal]) -> Cardinal:
 _SUP = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 _SUB = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
 
-# a style: omega, the product sign, the text of a finite exponent (other
-# than 1) and of a finite atom index, and whether an atom index w or w_nu
-# goes unbracketed (an exponent w always does)
-_ASCII = ("w", "*", "^{}".format, "_{}".format, True)
-_UNICODE = ("ω", "·", lambda n: str(n).translate(_SUP),
+# a style: omega, the product sign, the text of a finite exponent n >= 1
+# (none for 1) and of a finite atom index, and whether an atom index w or
+# w_nu goes unbracketed (an exponent w always does)
+_ASCII = ("w", "*", lambda n: "^%d" % n if n > 1 else "", "_{}".format, True)
+_UNICODE = ("ω", "·", lambda n: str(n).translate(_SUP) if n > 1 else "",
             lambda n: str(n).translate(_SUB), False)
 
 
 def _after_omega(x: Ordinal, mark: str, finite, bare: bool, style) -> str:
-    # the exponent x (mark "^") or atom index x (mark "_") after omega
-    if x.is_finite():
-        return finite(int(x))
+    # the exponent x (mark "^") or atom index x (mark "_") after omega; a
+    # finite x has no monomial or one of exponent 0, whose coefficient it is
+    ms = x.monomials
+    if not ms or len(ms) == 1 and not ms[0][0].monomials:
+        return finite(ms[0][1] if ms else 0)
     if bare and (type(x) is Atom or x == OMEGA):
         return mark + format_cnf(x, style)
     return mark + "(" + format_cnf(x, style) + ")"
@@ -604,11 +607,9 @@ def format_cnf(x: Ordinal, _style=_ASCII) -> str:
     for e, c in x.monomials:
         if type(e) is Atom:
             base = w + _after_omega(e.index, "_", index, bare, _style)
-        elif e.is_zero():
+        elif not e.monomials:
             parts.append(str(c))
             continue
-        elif e == ONE:
-            base = w
         else:
             base = w + _after_omega(e, "^", exponent, True, _style)
         parts.append(base if c == 1 else base + times + str(c))

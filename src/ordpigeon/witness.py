@@ -27,8 +27,9 @@ cannot be weakened without detection:
 The verifier reads each part once; it walks the rank intervals up from
 0, each colour's next one in turn, to check that they tile [0, g).
 Colours, bounds and top-point and zero colours are exact ints (no bool
-or float), ordinal fields and interval endpoints Ordinals or ints >= 0;
-anything else is rejected.
+or float), ordinal fields and interval endpoints Ordinals or ints >= 0,
+the rank classes, their unions and the top-point colours tuples and
+each interval a pair; anything else is rejected.
 
 A witness file holds witness_to_json's object: the keys are the field
 names of RankColouring and of each ObstructionCertificate, in field
@@ -39,7 +40,7 @@ integer fields are JSON integers, read back as exact ints.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .engine import (
@@ -53,6 +54,7 @@ from .ordinal import (
     OMEGA1,
     ONE,
     Ordinal,
+    Record,
     ZERO,
     ZeroInput,
     _build,
@@ -103,8 +105,10 @@ Interval = Tuple[Ordinal, Ordinal]
 IntervalUnion = Tuple[Interval, ...]
 
 
-@dataclass(frozen=True)
-class RankColouring:
+# Records (see ordinal.Record), registered as dataclasses only so that
+# dataclasses.replace works on them: the decorator generates no method
+@dataclass(init=False, repr=False, eq=False)
+class RankColouring(Record):
     """A total colouring of [0, domain) described by rank data.
 
     rank_classes[i] lists colour i's rank intervals [lo, hi); together
@@ -116,26 +120,42 @@ class RankColouring:
     points of uncountable cofinality.
     """
 
+    __slots__ = ("domain", "mode", "rank_classes", "top_point_colours",
+                 "zero_colour")
     domain: Ordinal
     mode: ColouringMode
     rank_classes: Tuple[IntervalUnion, ...]
     top_point_colours: Tuple[int, ...]
     zero_colour: Optional[int]
 
+    def __init__(self, domain, mode, rank_classes, top_point_colours,
+                 zero_colour):
+        self._init(domain, mode, rank_classes, top_point_colours, zero_colour)
+
     @property
     def colours(self) -> int:
         return len(self.rank_classes)
 
 
-@dataclass(frozen=True)
-class ObstructionCertificate:
+@dataclass(init=False, repr=False, eq=False)
+class ObstructionCertificate(Record):
+    """Why colour's class holds no copy of claimed_target; which of the
+    optional fields a kind sets is checked by verify_certificates."""
+
+    __slots__ = ("colour", "kind", "claimed_target", "level", "bound",
+                 "class_residual", "target_residual")
     colour: int
     kind: CertKind
     claimed_target: Ordinal
-    level: Optional[Ordinal] = None
-    bound: Optional[int] = None
-    class_residual: Optional[Ordinal] = None
-    target_residual: Optional[Ordinal] = None
+    level: Optional[Ordinal]
+    bound: Optional[int]
+    class_residual: Optional[Ordinal]
+    target_residual: Optional[Ordinal]
+
+    def __init__(self, colour, kind, claimed_target, level=None, bound=None,
+                 class_residual=None, target_residual=None):
+        self._init(colour, kind, claimed_target, level, bound, class_residual,
+                   target_residual)
 
 
 # -- the witness file -------------------------------------------------------------
@@ -155,9 +175,9 @@ def _to_json(x):
 def witness_to_json(col: RankColouring, certs) -> dict:
     """The witness file's object for a colouring and its certificates."""
     doc = {"kind": "witness"}
-    doc.update((f.name, _to_json(getattr(col, f.name))) for f in fields(col))
-    doc["certificates"] = [{f.name: _to_json(getattr(c, f.name))
-                            for f in fields(c)} for c in certs]
+    doc.update((name, _to_json(getattr(col, name))) for name in col._fields)
+    doc["certificates"] = [{name: _to_json(getattr(c, name))
+                            for name in c._fields} for c in certs]
     return doc
 
 
@@ -618,7 +638,8 @@ def _is_ordinal(x) -> bool:
 
 
 def _matches(field, value: Ordinal) -> bool:
-    return _is_ordinal(field) and compare(field, value) == 0
+    # the parse cache hands equal texts one object, so try identity first
+    return field is value or _is_ordinal(field) and compare(field, value) == 0
 
 
 def verify_certificates(col: RankColouring, norm: NormalizedInstance,
@@ -626,17 +647,23 @@ def verify_certificates(col: RankColouring, norm: NormalizedInstance,
     """Recompute every quantity a certificate relies on and compare
     exactly.  Any single altered field changes some recomputed value or
     violates well-formedness, so the verdict flips.  Each part is read
-    once (see the module docstring); integer fields must be exact ints,
-    ordinal fields (the domain too) Ordinals or ints >= 0, the mode a
-    ColouringMode and norm no degenerate instance's Exists, else False."""
+    once (see the module docstring), the cheap checks before any
+    residual is computed; the colouring's parts are tuples and each
+    interval a pair, integer fields exact ints, ordinal fields (the
+    domain too) Ordinals or ints >= 0, the mode a ColouringMode, each
+    certificate an ObstructionCertificate and norm no degenerate
+    instance's Exists, else False."""
     # compare the colour count before listing a target per colour
+    classes = col.rank_classes
     if not (isinstance(norm, NormalizedInstance) and norm.kappa.is_finite()
-            and col.colours == norm.kappa.size):
+            and type(classes) is tuple and len(classes) == norm.kappa.size):
         return False
     flat = _by_colour(norm)
     k = len(flat)
     per: list = [None] * k
     for cert in certs:
+        if type(cert) is not ObstructionCertificate:
+            return False
         i = cert.colour
         if type(i) is not int or not 0 <= i < k or per[i] is not None:
             return False
@@ -644,12 +671,11 @@ def verify_certificates(col: RankColouring, norm: NormalizedInstance,
     for cert, target in zip(per, flat):
         if cert is None or not _matches(cert.claimed_target, target):
             return False
-    classes, tops, zero = col.rank_classes, col.top_point_colours, \
-        col.zero_colour
-    if not _is_ordinal(col.domain):
+    tops, zero = col.top_point_colours, col.zero_colour
+    if not _is_ordinal(col.domain) or type(tops) is not tuple:
         return False
     if col.mode is ColouringMode.COFINALITY:
-        return (k == 2 and not any(classes) and not tops and zero is None
+        return (k == 2 and classes == ((), ()) and not tops and zero is None
                 and all(c.kind is CertKind.COFINALITY_SPLIT and c.level is None
                         and c.bound is None and c.class_residual is None
                         and c.target_residual is None for c in per)
@@ -669,37 +695,50 @@ def verify_certificates(col: RankColouring, norm: NormalizedInstance,
         if type(c) is not int or not 0 <= c < k:
             return False
         exceptions[c] += 1
-    # each kind's own fields (of level, bound and the two residuals) and
-    # exceptional points, before anything is recomputed
+    # one branch per kind: its own fields (of level, bound and the two
+    # residuals) and exceptional points, before anything is recomputed
     for i, cert in enumerate(per):
         kind, n = cert.kind, exceptions[i]
-        given = (cert.level is not None, cert.bound is not None,
-                 cert.class_residual is not None, cert.target_residual is not None)
-        if not (kind is CertKind.DERIVATIVE_EMPTY and n == 0
-                and given == (True, False, False, False)
-                or kind is CertKind.DERIVATIVE_SMALL and cert.bound == n > 0
-                and type(cert.bound) is int
-                and given == (True, True, False, False)
-                # all the top points, not the point 0
-                or kind is CertKind.DERIVATIVE_NOT_EMBEDDABLE
-                and n == top_count > 0 and zero != i and bool(classes[i])
-                and given == (True, False, True, True)):
+        if cert.level is None:
+            return False
+        if kind is CertKind.DERIVATIVE_NOT_EMBEDDABLE:
+            # all the top points, not the point 0
+            if (n != top_count or not n or zero == i or not classes[i]
+                    or cert.bound is not None or cert.class_residual is None
+                    or cert.target_residual is None):
+                return False
+        elif cert.class_residual is not None or cert.target_residual is not None:
+            return False
+        elif kind is CertKind.DERIVATIVE_EMPTY:
+            if n or cert.bound is not None:
+                return False
+        elif (kind is not CertKind.DERIVATIVE_SMALL
+              or type(cert.bound) is not int or cert.bound != n or not n):
             return False
 
     # tiling: from 0, some colour's next interval starts where the last
     # ended, up to g (natsum_split lays colours out in turn, so try the
-    # next colour first), summing each colour's order type on the way
+    # next colour first), summing each colour's order type on the way;
+    # an interval that is no pair is never taken, so the walk fails
+    count = 0
+    for ivs in classes:
+        if type(ivs) is not tuple:
+            return False
+        count += len(ivs)
     taken, types, before_last = [0] * k, [ZERO] * k, [ZERO] * k
     cursor, i = ZERO, 0
-    for _ in range(sum(map(len, classes))):
+    for _ in range(count):
         for _ in range(k):
             ivs, j = classes[i], taken[i]
-            if j < len(ivs) and _matches(ivs[j][0], cursor):
-                break
+            if j < len(ivs):
+                iv = ivs[j]
+                if type(iv) is tuple and len(iv) == 2 \
+                        and _matches(iv[0], cursor):
+                    break
             i = (i + 1) % k
         else:
             return False
-        hi = ivs[j][1]
+        hi = iv[1]
         if not _is_ordinal(hi) or compare(hi, cursor) <= 0:
             return False
         before_last[i] = types[i]
@@ -708,20 +747,26 @@ def verify_certificates(col: RankColouring, norm: NormalizedInstance,
     if compare(cursor, g):
         return False
 
+    # each level against the order types, before any residual
+    for i, cert in enumerate(per):
+        if cert.kind is not CertKind.DERIVATIVE_NOT_EMBEDDABLE:
+            if not _matches(cert.level, types[i]):
+                return False
+        # the last interval finishes the rank space
+        elif (not _matches(cert.level, before_last[i])
+              or compare(classes[i][-1][1], g)):
+            return False
+
     for i, cert in enumerate(per):
         if cert.kind is not CertKind.DERIVATIVE_NOT_EMBEDDABLE:
             residual = residual_shape(flat[i], types[i])
-            if not _matches(cert.level, types[i]) or (
-                    compare(residual, from_int(cert.bound)) <= 0
-                    if cert.bound else not residual.monomials):
+            if (compare(residual, from_int(cert.bound)) <= 0 if cert.bound
+                    else not residual.monomials):
                 return False
             continue
-        # the last interval finishes the rank space
-        p, hi = classes[i][-1]
-        class_res = residual_shape(col.domain, p)
+        class_res = residual_shape(col.domain, classes[i][-1][0])
         target_res = residual_shape(flat[i], before_last[i])
-        if not (compare(hi, g) == 0 and _matches(cert.level, before_last[i])
-                and _matches(cert.class_residual, class_res)
+        if not (_matches(cert.class_residual, class_res)
                 and _matches(cert.target_residual, target_res)
                 and _distinguishing_shapes(class_res, target_res)):
             return False

@@ -1,6 +1,7 @@
 """Brute-force oracles: exhaustive colouring search, bounded enumeration,
 least-counterexample Milner-Rado sums, and the closed-formula cross-check."""
 
+import gc
 import itertools
 import math
 import random
@@ -68,6 +69,30 @@ def test_finite_arrow_single_colour():
     assert finite_arrow_check(3, [3]) is True
     assert finite_arrow_check(2, [3]) is False
     assert finite_arrow_check(10 ** 9, [10 ** 9]) is True
+
+
+def test_the_oracles_leave_no_cyclic_garbage():
+    # a search that refers to itself through a closure cell is freed only
+    # by the cyclic collector; these leave nothing for it
+    calls = [
+        lambda: finite_arrow_check(5, [2, 3, 2]),   # holds: pruned at once
+        lambda: finite_arrow_check(4, [2, 3, 2]),   # fails: a full search
+        lambda: bruteforce_mr_sum([add(w, 1), from_int(3)]),
+        lambda: mr_sum_bruteforce_check([add(w, 1), add(w, 1)],
+                                        add(mul(w, 2), 1), 5),
+        lambda: enumerate_ordinals_below(EnumerationBounds(2, 2, 2)),
+    ]
+    for call in calls:
+        call()  # fill the module's caches first
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            for call in calls:
+                call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_finite_arrow_guard_and_validation():

@@ -216,6 +216,14 @@ STYLE_PINS = [
     (add(mul(OMEGA1, 2), mul(w, 7)), "w_1*2+w*7", "ω₁·2+ω·7"),
     (from_int(12), "12", "12"),
     (ZERO, "0", "0"),
+    # finite exponents and atom indices, read off their monomials
+    (mul(w, 5), "w*5", "ω·5"),
+    (add(mul(w, 3), 2), "w*3+2", "ω·3+2"),
+    (mul(wp(10), 2), "w^10*2", "ω¹⁰·2"),
+    (initial_ordinal(wp(2)), "w_(w^2)", "ω_(ω²)"),
+    (initial_ordinal(add(mul(wp(2), 3), w)), "w_(w^2*3+w)", "ω_(ω²·3+ω)"),
+    (wp(add(wp(3), 1)), "w^(w^3+1)", "ω^(ω³+1)"),
+    (mul(wp(add(mul(wp(12), 2), 1)), 4), "w^(w^12*2+1)*4", "ω^(ω¹²·2+1)·4"),
 ]
 
 

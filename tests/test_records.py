@@ -2,10 +2,13 @@
 rebuild a record by calling its class with its fields, so each
 constructor takes them positionally, in slot order; a slot named with a
 leading underscore is a memo, outside equality, hash, repr and
-pickling.  Record is the one mechanism for immutable values: only the
-two witness-file types stay dataclasses."""
+pickling.  Record is the one mechanism for immutable values.  The two
+witness-file types are Records too, registered as dataclasses only so
+that dataclasses.replace works on them."""
 
+import copy
 import dataclasses
+import enum
 import gc
 import importlib
 import inspect
@@ -24,8 +27,13 @@ from ordpigeon.engine import (
     classify,
     normalize,
 )
-from ordpigeon.ordinal import OMEGA, Record, add, mul
+from ordpigeon.ordinal import OMEGA, ONE, Record, add, mul
 from ordpigeon.parser import OrdinalExpression  # noqa: F401  (defines one)
+from ordpigeon.witness import (
+    CertKind,
+    ObstructionCertificate,
+    build_counterexample,
+)
 
 
 def subclasses(cls):
@@ -41,7 +49,8 @@ def test_the_walk_finds_every_record():
     assert {cls.__name__ for cls in RECORDS} >= {
         "Cardinal", "OrdinalExpression", "Instance", "NormalizedInstance",
         "Exists", "Infinite", "Independent", "Analysis", "Ordinal", "Atom",
-        "EnumerationBounds", "CriterionResult"}
+        "EnumerationBounds", "CriterionResult", "RankColouring",
+        "ObstructionCertificate"}
 
 
 def test_only_the_witness_file_types_are_dataclasses():
@@ -102,3 +111,76 @@ def test_the_case_tree_memo_never_reaches_its_norm():
             seen.add(id(x))
             todo += gc.get_referents(x)
     assert len(seen) > 10
+
+
+# -- the witness-file types -------------------------------------------------------
+
+
+def witness_records():
+    # a DerivativeNotEmbeddable certificate sets every optional field but bound
+    norm = normalize(Instance.of((mul(OMEGA, 2), 2)))
+    col, certs = build_counterexample(add(mul(OMEGA, OMEGA), 1), norm)
+    return [col, *certs]
+
+
+WITNESS_IDS = ["colouring", "not_embeddable_cert", "empty_cert"]
+
+
+def changed(value):
+    # a value of the same kind that differs from value
+    if isinstance(value, enum.Enum):
+        return next(m for m in type(value) if m is not value)
+    if isinstance(value, tuple):
+        return value[1:]
+    if value is None:
+        return ONE
+    return value + 1 if type(value) is int else add(value, 1)
+
+
+@pytest.mark.parametrize("record", witness_records(), ids=WITNESS_IDS)
+def test_replace_builds_what_the_constructor_builds(record):
+    cls, fields = type(record), type(record)._fields
+    assert [f.name for f in dataclasses.fields(record)] == list(fields)
+    for k, name in enumerate(fields):
+        values = [getattr(record, n) for n in fields]
+        values[k] = changed(values[k])
+        replaced = dataclasses.replace(record, **{name: values[k]})
+        assert replaced == cls(*values)
+        assert replaced != record
+        assert hash(replaced) == hash(cls(*values))
+
+
+@pytest.mark.parametrize("record", witness_records(), ids=WITNESS_IDS)
+def test_witness_records_are_immutable(record):
+    for name in type(record)._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+
+
+@pytest.mark.parametrize("record", witness_records(), ids=WITNESS_IDS)
+def test_witness_records_pickle_and_copy(record):
+    for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                 copy.deepcopy(record)):
+        assert type(twin) is type(record)
+        assert twin == record and hash(twin) == hash(record)
+        assert repr(twin) == repr(record)
+
+
+def test_a_certificate_repr_is_pinned():
+    cert = witness_records()[1]
+    assert repr(cert) == (
+        "ObstructionCertificate(colour=0, kind=<CertKind."
+        "DERIVATIVE_NOT_EMBEDDABLE: 'DerivativeNotEmbeddable'>, "
+        "claimed_target=w*2, level=0, bound=None, class_residual=w+1, "
+        "target_residual=w*2)")
+    assert repr(ObstructionCertificate(1, CertKind.DERIVATIVE_EMPTY, OMEGA,
+                                       level=ONE)) == (
+        "ObstructionCertificate(colour=1, kind=<CertKind.DERIVATIVE_EMPTY: "
+        "'DerivativeEmpty'>, claimed_target=w, level=1, bound=None, "
+        "class_residual=None, target_residual=None)")
+    assert repr(witness_records()[0]) == (
+        "RankColouring(domain=w^2+1, mode=<ColouringMode.RANK: 'rank'>, "
+        "rank_classes=(((1, 2),), ((0, 1),)), top_point_colours=(0,), "
+        "zero_colour=None)")

@@ -871,6 +871,35 @@ def test_verify_rejects_fields_that_are_not_ordinals_without_raising():
                                            certs)
 
 
+def test_verify_rejects_malformed_shapes_without_raising():
+    # the rank_classes, their unions and intervals are tuples, each
+    # interval a pair; top_point_colours a tuple; each certificate one
+    norm, col, certs = built(wp(2), (add(w, 1), 2))
+    assert verify_certificates(col, norm, certs)
+    first, second = col.rank_classes
+    iv = first[0]
+    for classes in (None, [first, second], (None, second), (first, None),
+                    (first, ONE), (((ONE,),), second), (((ZERO,),), second),
+                    ((iv + (ONE,),), second), ((list(iv),), second), (iv, second)):
+        assert not verify_certificates(replace(col, rank_classes=classes),
+                                       norm, certs)
+    for tops in (None, 0, list(col.top_point_colours)):
+        assert not verify_certificates(replace(col, top_point_colours=tops),
+                                       norm, certs)
+    for bad in ([None, certs[1]], [certs[0], None], [certs[0], col],
+                [certs[0], certs[1]._astuple()]):
+        assert not verify_certificates(col, norm, bad)
+    # the cofinality witness's parts are empty tuples, not merely falsy
+    norm, col, certs = built(OMEGA1, (add(OMEGA1, 1), 1), (add(w, 1), 1))
+    assert verify_certificates(col, norm, certs)
+    for classes in (None, (None, None), ((), None), [(), ()]):
+        assert not verify_certificates(replace(col, rank_classes=classes),
+                                       norm, certs)
+    for tops in (None, 0, []):
+        assert not verify_certificates(replace(col, top_point_colours=tops),
+                                       norm, certs)
+
+
 def test_verify_reads_int_ordinal_fields_as_ordinals():
     norm, col, certs = built(wp(2), (add(w, 1), 2))
     assert certs[0].level == ONE
