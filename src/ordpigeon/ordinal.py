@@ -7,7 +7,10 @@ initial ordinal w_nu (nu >= 1) is an Atom, the Ordinal with no smaller
 notation.  As w^(w_nu) = w_nu, an atom is its own leading exponent and
 its monomials read ((w_nu, 1),).  Each value has one representation,
 alone or as an exponent, so equality and hashing are structural.  w_0
-is plain omega and never an atom.
+is plain omega and never an atom.  The finite values below 64 are one
+node each: every way of making one hands back that node, so comparing
+small finite exponents stops at an identity test.  Identity is only a
+shortcut; no test of equality depends on it.
 
 The public constructor Ordinal(monomials) checks the normal form and
 raises ValueError (TypeError for an exponent that is not an Ordinal);
@@ -230,16 +233,29 @@ _set_monomials = Ordinal.monomials.__set__
 
 def _build(ms: tuple) -> Ordinal:
     """The node for monomials already in normal form, unchecked: the one
-    builder of the operations.  A lone (w_nu, 1) is the atom w_nu."""
-    if len(ms) == 1 and ms[0][1] == 1 and type(ms[0][0]) is Atom:
-        return ms[0][0]
+    builder of the operations and of Ordinal(...).  A lone (w_nu, 1) is
+    the atom w_nu, and a finite value below _SHARED is its one node in
+    _FINITE; any other value is a new node."""
+    if len(ms) == 1:
+        e, c = ms[0]
+        if c == 1 and type(e) is Atom:
+            return e
+        if not e.monomials and c < _SHARED:
+            return _FINITE[c]
+    elif not ms:
+        return ZERO
     x = _new(Ordinal)
     _set_monomials(x, ms)
     return x
 
 
-ZERO = _build(())
-ONE = _build(((ZERO, 1),))
+# the finite values 0 .. _SHARED - 1, one node each, written once: sharing
+# w^n*c as well made construction dearer than the comparisons it saved
+_SHARED = 64
+_FINITE = [_new(Ordinal) for _ in range(_SHARED)]
+ZERO, ONE = _FINITE[:2]
+for _n, _x in enumerate(_FINITE):
+    _set_monomials(_x, ((ZERO, _n),) if _n else ())
 OMEGA = _build(((ONE, 1),))
 
 

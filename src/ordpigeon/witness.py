@@ -651,8 +651,10 @@ def verify_certificates(col: RankColouring, norm: NormalizedInstance,
     residual is computed; the colouring's parts are tuples and each
     interval a pair, integer fields exact ints, ordinal fields (the
     domain too) Ordinals or ints >= 0, the mode a ColouringMode, each
-    certificate an ObstructionCertificate and norm no degenerate
-    instance's Exists, else False."""
+    certificate an ObstructionCertificate in a tuple or list and norm no
+    degenerate instance's Exists, else False."""
+    if type(col) is not RankColouring or type(certs) not in (tuple, list):
+        return False
     # compare the colour count before listing a target per colour
     classes = col.rank_classes
     if not (isinstance(norm, NormalizedInstance) and norm.kappa.is_finite()

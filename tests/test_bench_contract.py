@@ -3,8 +3,9 @@
 bench/shapes.py builds program values from shape tuples with the bare
 Ordinal and Atom constructors, reads them back through .monomials and
 hasattr(e, "index"), and builds the "point below" of a sweep op the
-same way.  The module is read by path and run here, not imported, so
-nothing under bench/ is written.
+same way.  Those values carry the kernel's shared finite nodes, so the
+sweep's construction path meets them.  The module is read by path and
+run here, not imported, so nothing under bench/ is written.
 """
 
 import types
@@ -82,3 +83,24 @@ def test_points_below_build_and_lie_below(s):
         lower = make(shapes.below(s, k))
         assert shapes.shape_of(lower) == shapes.below(s, k)
         assert lower < make(s)
+
+
+def nodes(x):
+    """x and every value under it: its exponents and atom indices."""
+    yield x
+    for e, _ in x.monomials:
+        yield from nodes(e.index if hasattr(e, "index") else e)
+
+
+def test_made_values_carry_the_shared_finite_nodes():
+    assert make(nat(5)) is ordinal.from_int(5)
+    assert make(shapes.ZERO) is ordinal.ZERO and make(ONE) is ordinal.ONE
+    x = make(combine([(nat(2), 3), (ONE, 1), ((), 4)]))
+    for (e, _), n in zip(x.monomials, (2, 1, 0), strict=True):
+        assert e is ordinal.from_int(n)
+    # and so do the sweep's points below, at every depth
+    for s in SHAPES.values():
+        for y in [make(s)] + [make(shapes.below(s, k)) for k in (1, 3) if s]:
+            for z in nodes(y):
+                if z.is_finite():
+                    assert z is ordinal.from_int(int(z))

@@ -7,6 +7,8 @@ monomials of both arguments and folding with ordinary addition, which
 never absorbs along a descending exponent list.
 """
 
+import copy
+import pickle
 from functools import cmp_to_key
 from itertools import product
 
@@ -44,6 +46,7 @@ from ordpigeon.ordinal import (
     omega_pow,
     p_ord,
 )
+from ordpigeon.parser import parse_expression
 from test_ordinal_props import _deep_copy, wild
 
 w = OMEGA
@@ -164,6 +167,67 @@ def test_w_nu_has_one_node(nu):
     assert type(x) is Atom and x.monomials == ((x, 1),)
     assert x == initial_ordinal(nu) and hash(x) == hash(initial_ordinal(nu))
     assert omega_pow(x) == x and omega_pow(initial_ordinal(nu)) == x
+
+
+def every_build_of(n):
+    """The value n made by each builder path: the checked constructor,
+    from_int, each operation that builds a finite result, the parser."""
+    half = from_int(n // 2)
+    return {
+        "Ordinal": Ordinal(((Ordinal(()), n),)) if n else Ordinal(()),
+        "from_int": from_int(n),
+        "add": add(half, from_int(n - n // 2)),
+        "mul": mul(ONE, from_int(n)),
+        "left_subtract": left_subtract(from_int(2), from_int(n + 2)),
+        "natural_sum": natural_sum(half, n - n // 2),
+        "leading_decomposition": leading_decomposition(add(w, n))[2],
+        "parse_expression": parse_expression(str(n)).value,
+    }
+
+
+@pytest.mark.parametrize("n, node", [(0, ZERO), (1, ONE), (63, from_int(63))],
+                         ids=["0", "1", "63"])
+def test_small_naturals_have_one_node(n, node):
+    for path, x in every_build_of(n).items():
+        assert x is node, path
+    # as an exponent too
+    assert wp(n).monomials[0][0] is node
+    assert (wp(w) * 2 + wp(n) + n).monomials[-1][0] is ZERO
+
+
+@pytest.mark.parametrize("n", [64, 10**20])
+def test_larger_naturals_compare_hash_and_print_as_before(n):
+    builds = every_build_of(n)
+    for path, x in builds.items():
+        assert x == builds["Ordinal"] and x == n, path
+        assert compare(x, builds["from_int"]) == 0, path
+        assert hash(x) == hash(((ZERO, n),)), path
+        assert format_cnf(x) == str(n) and int(x) == n, path
+    x = builds["from_int"]
+    assert compare(from_int(63), x) == -1 and compare(x, from_int(n + 1)) == -1
+    assert compare(x, w) == -1 and compare(wp(x), wp(from_int(n))) == 0
+    assert wp(x) == wp(n) and hash(wp(x)) == hash(wp(n))
+    assert format_cnf(add(wp(x), x)) == f"w^{n}+{n}"
+
+
+@pytest.mark.parametrize("x", [ZERO, ONE, from_int(63)], ids=["0", "1", "63"])
+def test_shared_nodes_copy_and_pickle_to_themselves(x):
+    for twin in (pickle.loads(pickle.dumps(x)), copy.copy(x),
+                 copy.deepcopy(x)):
+        assert twin is x
+    y = copy.deepcopy(add(wp(x), x))
+    assert y == add(wp(x), x) and y.monomials[0][0] is x
+
+
+@pytest.mark.parametrize("x", [ZERO, ONE, from_int(63)], ids=["0", "1", "63"])
+def test_shared_nodes_stay_immutable(x):
+    value = x.monomials
+    for attack in (lambda: setattr(x, "monomials", ((ZERO, 2),)),
+                   lambda: setattr(x, "other", 1),
+                   lambda: delattr(x, "monomials")):
+        with pytest.raises(AttributeError):
+            attack()
+    assert x.monomials is value and x == int(format_cnf(x))
 
 
 # -- addition ----------------------------------------------------------------

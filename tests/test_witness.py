@@ -900,6 +900,17 @@ def test_verify_rejects_malformed_shapes_without_raising():
                                        norm, certs)
 
 
+def test_verify_rejects_ill_formed_arguments_without_raising():
+    norm, col, certs = built(wp(2), (add(w, 1), 2))
+    assert verify_certificates(col, norm, certs)
+    assert verify_certificates(col, norm, list(certs))
+    for bad_col in (None, 5, col._astuple(), certs[0]):
+        assert verify_certificates(bad_col, norm, certs) is False
+    for bad_certs in (None, 5, "certs", iter(certs), {0: certs[0]}):
+        assert verify_certificates(col, norm, bad_certs) is False
+    assert verify_certificates(None, None, None) is False
+
+
 def test_verify_reads_int_ordinal_fields_as_ordinals():
     norm, col, certs = built(wp(2), (add(w, 1), 2))
     assert certs[0].level == ONE
