@@ -123,27 +123,26 @@ def _cmd_arith(ns) -> Handler:
     return env, [fmt(value)], 0
 
 
+# classify's facts: JSON key, text label, and an ordinal or yes/no function
+_FACTS = (
+    ("canonical", "canonical form", lambda a: a),
+    ("is_power_of_omega", "power of omega", is_power_of_omega),
+    ("is_order_reinforcing", "order reinforcing", is_order_reinforcing),
+    ("cb_rank", "cantor-bendixson rank", cb_rank),
+    ("cofinality", "cofinality", cofinality),
+)
+
+
 def _cmd_classify(ns) -> Handler:
     a = _parse_operand(ns.ordinal)
     fmt = _fmt(ns)
-    facts = {
-        "canonical": format_cnf(a),
-        "is_power_of_omega": is_power_of_omega(a),
-        "is_order_reinforcing": is_order_reinforcing(a),
-        "cb_rank": format_cnf(cb_rank(a)),
-        "cofinality": format_cnf(cofinality(a)),
-    }
-    env = _envelope("classify", [ns.ordinal],
-                    {"kind": "classification", **facts})
-    lines = [
-        f"canonical form: {fmt(a)}",
-        f"power of omega: {'yes' if facts['is_power_of_omega'] else 'no'}",
-        "order reinforcing: "
-        + ("yes" if facts["is_order_reinforcing"] else "no"),
-        f"cantor-bendixson rank: {fmt(cb_rank(a))}",
-        f"cofinality: {fmt(cofinality(a))}",
-    ]
-    return env, lines, 0
+    result, lines = {"kind": "classification"}, []
+    for key, label, fact in _FACTS:
+        v = fact(a)
+        ordinal = isinstance(v, Ordinal)
+        result[key] = format_cnf(v) if ordinal else v
+        lines.append(f"{label}: {fmt(v) if ordinal else 'yes' if v else 'no'}")
+    return _envelope("classify", [ns.ordinal], result), lines, 0
 
 
 def _cmd_case(ns) -> Handler:

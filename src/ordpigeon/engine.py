@@ -85,15 +85,9 @@ class NormalizedInstance(Record):
 
     __slots__ = ("entries", "kappa", "_facts")
 
-    def __init__(self, entries, kappa: Cardinal):
-        self._init(entries, kappa, None)
-
 
 class Exists(Record):
     __slots__ = ("value",)
-
-    def __init__(self, value: Ordinal):
-        self._init(value)
 
     def __repr__(self):
         return f"Exists({self.value})"
@@ -125,9 +119,6 @@ class Independent(Record):
     equiconsistency = (
         "Silver, Shelah: the two-colour relation for w_1 at the lower bound "
         "w_2 is equiconsistent with a Mahlo cardinal.")
-
-    def __init__(self, zfc_lower):
-        self._init(zfc_lower)
 
 
 PigeonholeResult = Union[Exists, Infinite, Independent]

@@ -50,13 +50,12 @@ class Record:
     a memo (Instance._analysis); the others are the fields, which
     equality (same type too), hash, pickling and a dataclass-style repr
     read, so each constructor takes its fields positionally in slot
-    order, keeps its own checks and ends in one _init(...) call that
-    writes every slot.  It keeps dataclasses (and the inspect, ast and
-    dis it loads) off the CLI's start-up.  The two witness-file types,
-    RankColouring and ObstructionCertificate, are Records too, and are
-    also registered as dataclasses with no generated method, only so
-    that dataclasses.replace works on them: the self-test, the tests
-    and the benchmark tamper with witnesses through it.
+    order.  A subclass that defines neither __init__ nor __new__ gets a
+    generated __init__(self, *fields) that stores them and sets each memo
+    to None.  One that defines either (for checks or defaults) gets
+    _init(self, *slots) instead, which writes every slot, and ends its
+    constructor in one call to it.  It keeps dataclasses (and the
+    inspect, ast and dis it loads) off the CLI's start-up.
     """
 
     __slots__ = ()
@@ -64,13 +63,17 @@ class Record:
     def __init_subclass__(cls):
         slots = cls.__slots__
         cls._fields = tuple(n for n in slots if not n.startswith("_"))
-        # _init(self, *slots) calls each slot's own writer, which skips the
-        # guard in __setattr__.  It is compiled once per class, so that a
-        # constructor pays one call and no loop over the slots.
+        # one function compiled per class, so a constructor pays one call
+        # and no loop; each slot's own writer skips the guard in __setattr__
         scope = {"_set_" + n: getattr(cls, n).__set__ for n in slots}
         writes = "; ".join(f"_set_{n}(self, {n})" for n in slots) or "pass"
-        exec(f"def _init({', '.join(('self',) + slots)}): {writes}", scope)
-        cls._init = scope["_init"]
+        if {"__init__", "__new__"} & vars(cls).keys():
+            name, params = "_init", slots
+        else:  # the generated constructor, its memos None
+            memos = "".join(f"{n} = None; " for n in slots if n[0] == "_")
+            name, params, writes = "__init__", cls._fields, memos + writes
+        exec(f"def {name}({', '.join(('self',) + params)}): {writes}", scope)
+        setattr(cls, name, scope[name])
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable")

@@ -64,9 +64,6 @@ class OrdinalSyntaxError(ValueError):
 class OrdinalExpression(Record):
     __slots__ = ("source", "value", "noncanonical")
 
-    def __init__(self, source: str, value: Ordinal, noncanonical: bool):
-        self._init(source, value, noncanonical)
-
 
 class _Scanner:
     def __init__(self, text: str):

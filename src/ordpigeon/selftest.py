@@ -63,17 +63,14 @@ from .ordinal import (
     omega_pow,
     p_ord,
 )
-from .witness import build_counterexample, natsum_expressible, verify_certificates
+from .witness import (CertKind, build_counterexample, natsum_expressible,
+                      verify_certificates)
 
 w = OMEGA
 
 
 class CriterionResult(Record):
     __slots__ = ("number", "title", "ok", "detail", "elapsed", "limit")
-
-    def __init__(self, number: int, title: str, ok: bool, detail: str,
-                 elapsed: float, limit: float):
-        self._init(number, title, ok, detail, elapsed, limit)
 
     def line(self) -> str:
         status = "pass" if self.ok else "FAIL"
@@ -340,9 +337,10 @@ def _maximal_failing(value: Ordinal) -> Ordinal:
     return add(_build(((ms[0][0], ms[0][1] - 1),)), 1)
 
 
+_KINDS = list(CertKind)
 _TAMPERS = [
     ("colour", lambda v: v + 1),
-    ("kind", None),
+    ("kind", lambda v: _KINDS[(_KINDS.index(v) + 1) % len(_KINDS)]),
     ("claimed_target", lambda v: add(v, 1)),
     ("level", lambda v: ZERO if v is None else add(v, 1)),
     ("bound", lambda v: 1 if v is None else v + 1),
@@ -352,17 +350,11 @@ _TAMPERS = [
 
 
 def _tamper_all(col, norm, certs) -> Optional[str]:
-    from .witness import CertKind
-    kinds = list(CertKind)
     certs = tuple(certs)
     for j, cert in enumerate(certs):
         for field, bump in _TAMPERS:
-            if field == "kind":
-                other = kinds[(kinds.index(cert.kind) + 1) % len(kinds)]
-                broken = dataclasses.replace(cert, kind=other)
-            else:
-                broken = dataclasses.replace(
-                    cert, **{field: bump(getattr(cert, field))})
+            broken = dataclasses.replace(
+                cert, **{field: bump(getattr(cert, field))})
             mutated = certs[:j] + (broken,) + certs[j + 1:]
             if verify_certificates(col, norm, mutated):
                 return f"tampering {field} of certificate {j} not caught"

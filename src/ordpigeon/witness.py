@@ -7,29 +7,18 @@ plus explicit colours for the finitely many points of maximal rank and
 and witnesses the provably-no-value case for two targets.
 
 Each colour carries an obstruction certificate saying why its class
-cannot contain a copy of its target.  The verifier recomputes the order
-types and derivative shapes from the colouring alone, so a certificate
-cannot be weakened without detection:
-
-  DerivativeEmpty       class is a pure rank preimage whose level-th
-                        derivative is empty, while the target still has
-                        points at that level;
-  DerivativeSmall       the level-th derivative of the class sits inside
-                        its exceptional points, fewer than the target
-                        keeps at that level;
-  DerivativeNotEmbeddable  the class's residual above the final rank
-                        interval is a compact w^rho*a + 1, too small for
-                        the target's residual w^rho*b with b > a;
-  CofinalitySplit       the two classes split by cofinality: points of
-                        uncountable cofinality contain no w+1, the rest
-                        contain nothing above w_1.
-
-The verifier reads each part once; it walks the rank intervals up from
-0, each colour's next one in turn, to check that they tile [0, g).
-Colours, bounds and top-point and zero colours are exact ints (no bool
-or float), ordinal fields and interval endpoints Ordinals or ints >= 0,
-the rank classes, their unions and the top-point colours tuples and
-each interval a pair; anything else is rejected.
+cannot contain a copy of its target; _ROWS has a row per kind.  The
+verifier recomputes the order types and derivative shapes from the
+colouring alone, so a certificate cannot be weakened without detection.
+It reads each part once, the cheap checks before any residual is
+computed, and walks the rank intervals up from 0, each colour's next
+one in turn, to check that they tile [0, g).  Colours, bounds and
+top-point and zero colours are exact ints (no bool or float), ordinal
+fields, the domain and interval endpoints Ordinals or ints >= 0, the
+mode a ColouringMode, the rank classes, their unions and the top-point
+colours tuples, each interval a pair, each certificate an
+ObstructionCertificate in a tuple or list, and the instance no
+degenerate instance's Exists; anything else is rejected.
 
 A witness file holds witness_to_json's object: the keys are the field
 names of RankColouring and of each ObstructionCertificate, in field
@@ -106,7 +95,9 @@ IntervalUnion = Tuple[Interval, ...]
 
 
 # Records (see ordinal.Record), registered as dataclasses only so that
-# dataclasses.replace works on them: the decorator generates no method
+# dataclasses.replace works on them: the self-test, the tests and the
+# benchmark tamper with witnesses through it.  The decorator generates
+# no method.
 @dataclass(init=False, repr=False, eq=False)
 class RankColouring(Record):
     """A total colouring of [0, domain) described by rank data.
@@ -128,10 +119,6 @@ class RankColouring(Record):
     top_point_colours: Tuple[int, ...]
     zero_colour: Optional[int]
 
-    def __init__(self, domain, mode, rank_classes, top_point_colours,
-                 zero_colour):
-        self._init(domain, mode, rank_classes, top_point_colours, zero_colour)
-
     @property
     def colours(self) -> int:
         return len(self.rank_classes)
@@ -140,7 +127,7 @@ class RankColouring(Record):
 @dataclass(init=False, repr=False, eq=False)
 class ObstructionCertificate(Record):
     """Why colour's class holds no copy of claimed_target; which of the
-    optional fields a kind sets is checked by verify_certificates."""
+    optional fields a kind sets is its row of _ROWS."""
 
     __slots__ = ("colour", "kind", "claimed_target", "level", "bound",
                  "class_residual", "target_residual")
@@ -156,6 +143,25 @@ class ObstructionCertificate(Record):
                  class_residual=None, target_residual=None):
         self._init(colour, kind, claimed_target, level, bound, class_residual,
                    target_residual)
+
+
+# One row per kind: whether it sets level, bound, class_residual and
+# target_residual; its comment says why its fact rules out the target
+_ROWS = {
+    # the class is a pure rank preimage of order type level, so its level-th
+    # derivative is empty, while the target still has points at that level
+    CertKind.DERIVATIVE_EMPTY: (True, False, False, False),
+    # the class's level-th derivative sits inside its bound exceptional
+    # points, fewer than the target keeps at that level
+    CertKind.DERIVATIVE_SMALL: (True, True, False, False),
+    # the class's ranks below its final interval have order type level,
+    # and from that interval up it is a compact w^rho*a + 1, too small
+    # for the target's level-th residual w^rho*b with b > a
+    CertKind.DERIVATIVE_NOT_EMBEDDABLE: (True, False, True, True),
+    # the two classes split by cofinality: points of uncountable
+    # cofinality contain no w+1, the rest contain nothing above w_1
+    CertKind.COFINALITY_SPLIT: (False, False, False, False),
+}
 
 
 # -- the witness file -------------------------------------------------------------
@@ -549,15 +555,11 @@ def _exception_certs(flat, levels, exceptions):
     counts = [0] * len(flat)
     for i in exceptions:
         counts[i] += 1
-    certs = []
-    for i, (t, count) in enumerate(zip(flat, counts)):
-        if count:
-            certs.append(ObstructionCertificate(
-                i, CertKind.DERIVATIVE_SMALL, t, level=levels[i], bound=count))
-        else:
-            certs.append(ObstructionCertificate(
-                i, CertKind.DERIVATIVE_EMPTY, t, level=levels[i]))
-    return certs
+    # a class with exceptional points bounds them, one without has none
+    return [ObstructionCertificate(
+        i, CertKind.DERIVATIVE_SMALL if n else CertKind.DERIVATIVE_EMPTY, t,
+        level=levels[i], bound=n or None)
+        for i, (t, n) in enumerate(zip(flat, counts))]
 
 
 def _build_infinite(beta, facts, flat):
@@ -646,13 +648,8 @@ def verify_certificates(col: RankColouring, norm: NormalizedInstance,
                         certs) -> bool:
     """Recompute every quantity a certificate relies on and compare
     exactly.  Any single altered field changes some recomputed value or
-    violates well-formedness, so the verdict flips.  Each part is read
-    once (see the module docstring), the cheap checks before any
-    residual is computed; the colouring's parts are tuples and each
-    interval a pair, integer fields exact ints, ordinal fields (the
-    domain too) Ordinals or ints >= 0, the mode a ColouringMode, each
-    certificate an ObstructionCertificate in a tuple or list and norm no
-    degenerate instance's Exists, else False."""
+    violates well-formedness (see the module docstring), so the verdict
+    flips to False."""
     if type(col) is not RankColouring or type(certs) not in (tuple, list):
         return False
     # compare the colour count before listing a target per colour
@@ -670,17 +667,20 @@ def verify_certificates(col: RankColouring, norm: NormalizedInstance,
         if type(i) is not int or not 0 <= i < k or per[i] is not None:
             return False
         per[i] = cert
+    # each certificate's target, and the optional fields its kind's row sets
     for cert, target in zip(per, flat):
-        if cert is None or not _matches(cert.claimed_target, target):
+        if (cert is None or not _matches(cert.claimed_target, target)
+                or type(cert.kind) is not CertKind or _ROWS[cert.kind] != (
+                    cert.level is not None, cert.bound is not None,
+                    cert.class_residual is not None,
+                    cert.target_residual is not None)):
             return False
     tops, zero = col.top_point_colours, col.zero_colour
     if not _is_ordinal(col.domain) or type(tops) is not tuple:
         return False
     if col.mode is ColouringMode.COFINALITY:
         return (k == 2 and classes == ((), ()) and not tops and zero is None
-                and all(c.kind is CertKind.COFINALITY_SPLIT and c.level is None
-                        and c.bound is None and c.class_residual is None
-                        and c.target_residual is None for c in per)
+                and all(c.kind is CertKind.COFINALITY_SPLIT for c in per)
                 and compare(flat[0], OMEGA1) > 0 and compare(flat[1], OMEGA) > 0)
 
     if col.mode is not ColouringMode.RANK:
@@ -697,25 +697,16 @@ def verify_certificates(col: RankColouring, norm: NormalizedInstance,
         if type(c) is not int or not 0 <= c < k:
             return False
         exceptions[c] += 1
-    # one branch per kind: its own fields (of level, bound and the two
-    # residuals) and exceptional points, before anything is recomputed
+    # each class's exceptional points, before anything is recomputed: a
+    # DerivativeNotEmbeddable class takes all the top points and not the
+    # point 0; any other class has exactly bound of them, none if no bound
     for i, cert in enumerate(per):
-        kind, n = cert.kind, exceptions[i]
-        if cert.level is None:
-            return False
-        if kind is CertKind.DERIVATIVE_NOT_EMBEDDABLE:
-            # all the top points, not the point 0
-            if (n != top_count or not n or zero == i or not classes[i]
-                    or cert.bound is not None or cert.class_residual is None
-                    or cert.target_residual is None):
+        n = exceptions[i]
+        if cert.kind is CertKind.DERIVATIVE_NOT_EMBEDDABLE:
+            if n != top_count or not n or zero == i or not classes[i]:
                 return False
-        elif cert.class_residual is not None or cert.target_residual is not None:
-            return False
-        elif kind is CertKind.DERIVATIVE_EMPTY:
-            if n or cert.bound is not None:
-                return False
-        elif (kind is not CertKind.DERIVATIVE_SMALL
-              or type(cert.bound) is not int or cert.bound != n or not n):
+        elif (type(cert.bound) is not int or cert.bound != n if n
+              else cert.bound is not None):
             return False
 
     # tiling: from 0, some colour's next interval starts where the last
@@ -749,14 +740,12 @@ def verify_certificates(col: RankColouring, norm: NormalizedInstance,
     if compare(cursor, g):
         return False
 
-    # each level against the order types, before any residual
+    # each level against the order types, before any residual; a
+    # DerivativeNotEmbeddable class's last interval finishes the rank space
     for i, cert in enumerate(per):
-        if cert.kind is not CertKind.DERIVATIVE_NOT_EMBEDDABLE:
-            if not _matches(cert.level, types[i]):
-                return False
-        # the last interval finishes the rank space
-        elif (not _matches(cert.level, before_last[i])
-              or compare(classes[i][-1][1], g)):
+        last = cert.kind is CertKind.DERIVATIVE_NOT_EMBEDDABLE
+        if (not _matches(cert.level, before_last[i] if last else types[i])
+                or last and compare(classes[i][-1][1], g)):
             return False
 
     for i, cert in enumerate(per):

@@ -1,7 +1,9 @@
 """The lazily resolved package root and the immutable records."""
 
+import ast
 import copy
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -190,3 +192,85 @@ def test_values_and_records_copy_and_pickle(how):
     # a copy of an analysed instance carries no analysis: it makes its own
     twin = COPIES[how](analysed)
     assert analyze(twin) == analysis and analyze(twin) is not analysis
+
+
+def forwarding_constructors(sources):
+    """The Record subclasses (by name) whose __init__ only forwards its
+    parameters, in order and with no defaults, to one self._init call
+    (memo slots as None): the generated constructor does that already."""
+    classes = [node for source in sources for node in ast.walk(
+        ast.parse(source)) if isinstance(node, ast.ClassDef)]
+    records, grown = {"Record"}, True
+    while grown:
+        grown = False
+        for cls in classes:
+            if cls.name not in records and any(
+                    isinstance(b, ast.Name) and b.id in records
+                    for b in cls.bases):
+                records.add(cls.name)
+                grown = True
+    found = []
+    for cls in classes:
+        for f in cls.body:
+            if not (cls.name in records and isinstance(f, ast.FunctionDef)
+                    and f.name == "__init__"):
+                continue
+            a = f.args
+            params = [p.arg for p in a.args[1:]]
+            body = [st for st in f.body if not (
+                isinstance(st, ast.Expr) and isinstance(st.value, ast.Constant)
+                and isinstance(st.value.value, str))]
+            call = body[0].value if len(body) == 1 and isinstance(
+                body[0], ast.Expr) else None
+            if (a.defaults or a.kwonlyargs or a.vararg or a.kwarg
+                    or a.posonlyargs or not isinstance(call, ast.Call)
+                    or call.keywords or ast.unparse(call.func) != "self._init"):
+                continue
+            names = [x.id for x in call.args if isinstance(x, ast.Name)]
+            if names == params and all(
+                    isinstance(x, ast.Name) or ast.unparse(x) == "None"
+                    for x in call.args):
+                found.append(cls.name)
+    return found
+
+
+def test_no_record_restates_the_generated_constructor():
+    sources = [path.read_text(encoding="utf-8") for path in
+               sorted(Path(ordinal.__file__).parent.glob("*.py"))]
+    assert forwarding_constructors(sources) == []
+
+
+def test_the_constructor_guard_finds_a_forwarder():
+    forwarder = """
+class Base(Record):
+    __slots__ = ("a", "_memo")
+    def __init__(self, a):
+        self._init(a, None)
+class Sub(Base):
+    __slots__ = ("b",)
+    def __init__(self, b):
+        \"\"\"Documented.\"\"\"
+        self._init(b)
+class Checked(Record):
+    __slots__ = ("a",)
+    def __init__(self, a=0):
+        self._init(a)
+class Swapped(Record):
+    __slots__ = ("a", "b")
+    def __init__(self, a, b):
+        self._init(b, a)
+"""
+    assert forwarding_constructors([forwarder]) == ["Base", "Sub"]
+
+
+def test_each_record_class_compiles_one_constructor():
+    # a generated __init__, or its own constructor ending in _init
+    for cls in (NormalizedInstance, Exists, Infinite, Independent,
+                OrdinalExpression, CriterionResult, witness.RankColouring):
+        assert "__init__" in vars(cls) and "_init" not in vars(cls), cls
+    for cls in (Instance, Analysis, Cardinal, EnumerationBounds,
+                witness.ObstructionCertificate, Ordinal, Atom):
+        assert "_init" in vars(cls), cls
+    assert NormalizedInstance((), Cardinal())._facts is None
+    with pytest.raises(TypeError):
+        Exists(w, w)

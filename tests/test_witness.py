@@ -65,6 +65,7 @@ from ordpigeon.witness import (
     witness_from_json,
     witness_to_json,
 )
+from test_golden import corpus_builds
 
 w = OMEGA
 w1 = OMEGA1
@@ -995,3 +996,23 @@ def test_built_witnesses_verify_and_every_tamper_is_caught(entries, data):
     assert _tamper_all(col, norm, certs) is None
     for broken in interval_tampers(col):
         assert not verify_certificates(broken, norm, certs)
+
+
+def test_every_certificate_kind_has_a_row_and_sets_its_fields():
+    # criterion 7's grid, the cofinality witness and the golden corpus set
+    # exactly the optional fields of their kind's row, and use every row
+    assert set(witness._ROWS) == set(CertKind)
+    builds = [build_counterexample(_maximal_failing(p_top(inst).value),
+                                   normalize(inst)) for inst in _witness_grid()]
+    builds.append(built(mul(w1, 2), (add(w1, 1), 1), (add(w, 1), 1))[1:])
+    builds += [row for _, _, rows in corpus_builds() for row in rows
+               if not isinstance(row, OutOfScope)]
+    kinds = Counter()
+    for _, certs in builds:
+        for cert in certs:
+            assert witness._ROWS[cert.kind] == (
+                cert.level is not None, cert.bound is not None,
+                cert.class_residual is not None,
+                cert.target_residual is not None), cert
+            kinds[cert.kind] += 1
+    assert set(kinds) == set(CertKind)
