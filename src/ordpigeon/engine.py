@@ -35,7 +35,6 @@ from .ordinal import (
     _merge,
     add,
     biembed_canonical,
-    cardinal_sum,
     cb_rank,
     cofinality,
     compare,
@@ -158,29 +157,42 @@ def normalize(inst: Instance) -> Union[NormalizedInstance, PigeonholeResult]:
     A target of 0 is contained in every class of every colouring, so the
     answer is 0.  A target of 1 needs one point in its class and never
     constrains the answer beyond that; if nothing else remains, the
-    answer is 1.  An analysed instance gives its analysis's norm, which
-    keeps the facts of its one case-tree walk."""
-    if inst._analysis is not None:  # or the degenerate answer it kept
-        return inst._analysis.normalized or inst._analysis.result
+    answer is 1.  kappa is the cardinal sum of the kept counts: finite
+    counts add and the largest aleph dominates.  An analysed instance
+    gives its analysis's norm, which keeps the facts of its one
+    case-tree walk.  Anything but an Instance raises TypeError."""
+    try:
+        a = inst._analysis
+    except AttributeError:
+        raise TypeError(f"{inst!r} is not an Instance") from None
+    if a is not None:  # or the degenerate answer it kept
+        return a.normalized or a.result
     if not inst.entries:
         raise EmptyInstance("no targets")
-    kept = []
+    kept, size, aleph = [], 0, None
     for entry in inst.entries:
-        ms = entry[0].monomials
+        t, c = entry
+        ms = t.monomials
         if not ms:
             return Exists(ZERO)
         if len(ms) > 1 or ms[0][1] > 1 or ms[0][0].monomials:  # not 1
             kept.append(entry)
+            nu = c.aleph_index
+            if nu is None:
+                size += c.size
+            elif aleph is None or compare(nu, aleph) > 0:
+                aleph = nu
     if not kept:
         return Exists(ONE)
-    return NormalizedInstance(tuple(kept), cardinal_sum(c for _, c in kept))
+    return NormalizedInstance(tuple(kept),
+                              Cardinal(aleph, size if aleph is None else 0))
 
 
 # a target's case6_decompose split: (g, m, exact)
 Split = Tuple[Ordinal, int, bool]
 
 
-class Analysis(Record):
+class Analysis(Record, optional=2):
     """One pass through the case tree and the value its leaf computes.
 
     In the C6c leaves decompositions holds one case6_decompose split per
@@ -194,11 +206,6 @@ class Analysis(Record):
 
     __slots__ = ("case", "trail", "result", "normalized", "decompositions",
                  "distinguished")
-
-    def __init__(self, case, trail, result, normalized, decompositions=None,
-                 distinguished=None):
-        self._init(case, trail, result, normalized, decompositions,
-              distinguished)
 
 
 def _copies(norm: NormalizedInstance, floor: Ordinal) -> int:
@@ -217,6 +224,11 @@ def classify(norm: NormalizedInstance) -> Analysis:
     NormalizedInstance, such as a degenerate Exists, raises TypeError."""
     if not isinstance(norm, NormalizedInstance):
         raise TypeError(f"{norm!r} is not a NormalizedInstance")
+    return _classify(norm)
+
+
+def _classify(norm: NormalizedInstance) -> Analysis:
+    # classify past its type check, for a norm analyze has just built
     facts = norm._facts
     if facts is None:
         trail: List[str] = []
@@ -231,9 +243,13 @@ def _case_tree(norm: NormalizedInstance, trail: List[str]) -> tuple:
     # (case, result, decompositions, distinguished); the last two in C6c
     kappa = norm.kappa
     # countable targets are below w_1, so they settle both w_1 tests
-    countable = all(t.is_countable() for t, _ in norm.entries)
-    big = None if countable else next(
-        (t for t, _ in norm.entries if t > OMEGA1), None)
+    countable, big = True, None
+    for t, _ in norm.entries:
+        if not t.is_countable():
+            countable = False
+            if t > OMEGA1:
+                big = t
+                break
 
     if big is not None:
         trail.append("some target exceeds w_1")
@@ -322,8 +338,9 @@ def _case_tree(norm: NormalizedInstance, trail: List[str]) -> tuple:
         total += (m - 1) * c
         heavy += c if m > 1 else 0
         gs = g.monomials
-        rows = _merge(rows, gs if c == 1 else [(e, k * c) for e, k in gs])
         rank = gs[-1][0] if gs else ZERO        # cb_rank(g)
+        gs = gs if c == 1 else [(e, k * c) for e, k in gs]
+        rows = _merge(rows, gs) if rows else gs
         k = -1 if least is None else compare(rank, least)
         if k < 0 or k == 0 and exact and (first is None or m > 1):
             least, first = rank, i if exact else None
@@ -382,12 +399,16 @@ def _split(ms: tuple) -> Split:
 
 
 def analyze(inst: Instance) -> Analysis:
-    """The instance's pass through the case tree, made once per object."""
-    a = inst._analysis
+    """The instance's pass through the case tree, made once per object.
+    Anything but an Instance raises TypeError."""
+    try:
+        a = inst._analysis
+    except AttributeError:
+        raise TypeError(f"{inst!r} is not an Instance") from None
     if a is None:
         norm = normalize(inst)
-        if isinstance(norm, NormalizedInstance):
-            a = classify(norm)
+        if type(norm) is NormalizedInstance:
+            a = _classify(norm)
         elif norm.value.is_zero():
             a = Analysis(CasePath.ZERO, ("some target is 0",), norm, None)
         else:
@@ -402,13 +423,16 @@ def p_top(inst: Instance) -> PigeonholeResult:
 
 
 def relation_holds(beta: Ordinal, inst: Instance) -> RelationVerdict:
-    """Whether beta satisfies the relation, by the instance's one analysis."""
-    result = p_top(inst)
-    if isinstance(result, Exists):
-        return (RelationVerdict.HOLDS if beta >= result.value
+    """Whether beta satisfies the relation: one comparison with the value,
+    or with the provable lower bound, of the instance's one analysis.
+    beta is coerced first, so a non-ordinal beta raises whatever the
+    answer, Infinite included."""
+    beta = _coerce(beta)
+    result = analyze(inst).result
+    kind = type(result)
+    if kind is Exists:
+        return (RelationVerdict.HOLDS if compare(beta, result.value) >= 0
                 else RelationVerdict.FAILS)
-    if isinstance(result, Infinite):
-        return RelationVerdict.FAILS
-    if beta < result.zfc_lower:
+    if kind is Infinite or compare(beta, result.zfc_lower) < 0:
         return RelationVerdict.FAILS
     return RelationVerdict.INDEPENDENT_UNKNOWN

@@ -32,7 +32,7 @@ nothing is hashed or re-sorted.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 
 class Underflow(ArithmeticError):
@@ -52,15 +52,16 @@ class Record:
     read, so each constructor takes its fields positionally in slot
     order.  A subclass that defines neither __init__ nor __new__ gets a
     generated __init__(self, *fields) that stores them and sets each memo
-    to None.  One that defines either (for checks or defaults) gets
-    _init(self, *slots) instead, which writes every slot, and ends its
-    constructor in one call to it.  It keeps dataclasses (and the
-    inspect, ast and dis it loads) off the CLI's start-up.
+    to None; declared as class C(Record, optional=k), its last k fields
+    default to None.  One that defines either (for checks or other
+    defaults) gets _init(self, *slots) instead, which writes every slot,
+    and ends its constructor in one call to it.  It keeps dataclasses
+    (and the inspect, ast and dis it loads) off the CLI's start-up.
     """
 
     __slots__ = ()
 
-    def __init_subclass__(cls):
+    def __init_subclass__(cls, optional: int = 0):
         slots = cls.__slots__
         cls._fields = tuple(n for n in slots if not n.startswith("_"))
         # one function compiled per class, so a constructor pays one call
@@ -71,7 +72,10 @@ class Record:
             name, params = "_init", slots
         else:  # the generated constructor, its memos None
             memos = "".join(f"{n} = None; " for n in slots if n[0] == "_")
-            name, params, writes = "__init__", cls._fields, memos + writes
+            k = len(cls._fields) - optional
+            params = cls._fields[:k] + tuple(f"{n}=None"
+                                             for n in cls._fields[k:])
+            name, writes = "__init__", memos + writes
         exec(f"def {name}({', '.join(('self',) + params)}): {writes}", scope)
         setattr(cls, name, scope[name])
 
@@ -112,13 +116,19 @@ class Ordinal(Record):
 
     def __new__(cls, monomials: tuple = ()):
         ms = tuple(monomials)
-        for i, (e, c) in enumerate(ms):
+        if len(ms) == 1:    # a well-formed lone monomial needs no order
+            e, c = ms[0]
+            if type(c) is int and c > 0 and isinstance(e, Ordinal):
+                return _build(ms)
+        last = None     # the exponent before e
+        for e, c in ms:
             if not isinstance(e, Ordinal):
                 raise TypeError(f"exponent {e!r} is not an Ordinal")
             if type(c) is not int or c < 1:
                 raise ValueError(f"coefficient {c!r} is not an int >= 1")
-            if i and compare(ms[i - 1][0], e) <= 0:
+            if last is not None and compare(last, e) <= 0:
                 raise ValueError("exponents must be strictly decreasing")
+            last = e
         return _build(ms)
 
     # -- structure ---------------------------------------------------------
@@ -578,18 +588,6 @@ def _coerce_card(x) -> Cardinal:
     if isinstance(x, int):
         return Cardinal.finite(x)
     raise TypeError(f"cannot interpret {x!r} as a cardinal")
-
-
-def cardinal_sum(cards: Iterable[Cardinal]) -> Cardinal:
-    """Cardinal addition: finite sums add, any aleph dominates."""
-    total = 0
-    best: Optional[Ordinal] = None
-    for c in cards:
-        if c.aleph_index is None:
-            total += c.size
-        elif best is None or c.aleph_index > best:
-            best = c.aleph_index
-    return Cardinal(best, 0) if best is not None else Cardinal(None, total)
 
 
 # -- formatting: the ascii and unicode styles -----------------------------------

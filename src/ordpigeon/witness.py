@@ -125,7 +125,7 @@ class RankColouring(Record):
 
 
 @dataclass(init=False, repr=False, eq=False)
-class ObstructionCertificate(Record):
+class ObstructionCertificate(Record, optional=4):
     """Why colour's class holds no copy of claimed_target; which of the
     optional fields a kind sets is its row of _ROWS."""
 
@@ -138,11 +138,6 @@ class ObstructionCertificate(Record):
     bound: Optional[int]
     class_residual: Optional[Ordinal]
     target_residual: Optional[Ordinal]
-
-    def __init__(self, colour, kind, claimed_target, level=None, bound=None,
-                 class_residual=None, target_residual=None):
-        self._init(colour, kind, claimed_target, level, bound, class_residual,
-                   target_residual)
 
 
 # One row per kind: whether it sets level, bound, class_residual and

@@ -319,6 +319,30 @@ def test_relation_verdicts():
     assert relation_holds(w * 9 + 5, inst) is RelationVerdict.FAILS
 
 
+BAD_BETAS = [("x", TypeError), (None, TypeError), (True, TypeError),
+             (-1, ValueError), (2.5, TypeError)]
+
+
+@pytest.mark.parametrize("entries", [(w, w * 2), (w1 + 1, w + 1), (w1, w1)],
+                         ids=["Exists", "Infinite", "Independent"])
+def test_relation_holds_rejects_a_malformed_beta_for_every_answer(entries):
+    inst = Instance.of(*entries)
+    for beta, error in BAD_BETAS:
+        with pytest.raises(error):
+            relation_holds(beta, inst)
+    # an int is an ordinal, whatever the answer
+    assert relation_holds(3, inst) is RelationVerdict.FAILS
+
+
+@pytest.mark.parametrize("call", [
+    analyze, p_top, normalize, lambda x: relation_holds(w, x)],
+    ids=["analyze", "p_top", "normalize", "relation_holds"])
+def test_a_non_instance_raises_type_error(call):
+    for bad in ("x", None, ((w, Cardinal.finite(2)),)):
+        with pytest.raises(TypeError, match="is not an Instance$"):
+            call(bad)
+
+
 # -- one analysis per instance object ------------------------------------------
 
 

@@ -9,12 +9,14 @@ never absorbs along a descending exponent list.
 
 import copy
 import pickle
+import re
 from functools import cmp_to_key
 from itertools import product
 
 import pytest
 from hypothesis import given
 
+from ordpigeon.engine import Instance, normalize
 from ordpigeon.ordinal import (
     Atom,
     Cardinal,
@@ -28,7 +30,6 @@ from ordpigeon.ordinal import (
     ZeroInput,
     add,
     biembed_canonical,
-    cardinal_sum,
     cb_rank,
     cofinality,
     compare,
@@ -126,24 +127,34 @@ def test_atom_index_positive():
 
 # -- the public constructor takes normal forms only ---------------------------
 
+ORDER = "exponents must be strictly decreasing"
 NOT_NORMAL = {
     # w^4*0 is 0, but the kernel would read it as a term: plus 1, w^4*0+1
-    "zero coefficient": (((from_int(4), 0),), ValueError),
+    "zero coefficient": (((from_int(4), 0),), ValueError,
+                         "coefficient 0 is not an int >= 1"),
     # "1+w" is w, but the kernel would compare it below w
-    "ascending exponents": (((ZERO, 1), (ONE, 1)), ValueError),
-    "repeated exponent": (((ONE, 1), (ONE, 2)), ValueError),
-    "repeated atom": (((Atom(ONE), 1), (OMEGA1, 2)), ValueError),
-    "negative coefficient": (((ONE, -1),), ValueError),
-    "float coefficient": (((ONE, 1.5),), ValueError),
-    "bool coefficient": (((ONE, True),), ValueError),
-    "int exponent": (((1, 1),), TypeError),
+    "ascending exponents": (((ZERO, 1), (ONE, 1)), ValueError, ORDER),
+    "repeated exponent": (((ONE, 1), (ONE, 2)), ValueError, ORDER),
+    "repeated atom": (((Atom(ONE), 1), (OMEGA1, 2)), ValueError, ORDER),
+    "negative coefficient": (((ONE, -1),), ValueError,
+                             "coefficient -1 is not an int >= 1"),
+    "float coefficient": (((ONE, 1.5),), ValueError,
+                          "coefficient 1.5 is not an int >= 1"),
+    "bool coefficient": (((ONE, True),), ValueError,
+                         "coefficient True is not an int >= 1"),
+    "none coefficient": (((ONE, None),), ValueError,
+                         "coefficient None is not an int >= 1"),
+    "int exponent": (((1, 1),), TypeError, "exponent 1 is not an Ordinal"),
+    "none exponent": (((None, 1),), TypeError,
+                      "exponent None is not an Ordinal"),
 }
 
 
-@pytest.mark.parametrize("monomials, error", NOT_NORMAL.values(),
+@pytest.mark.parametrize("monomials, error, message", NOT_NORMAL.values(),
                          ids=NOT_NORMAL)
-def test_constructor_rejects_what_is_not_a_normal_form(monomials, error):
-    with pytest.raises(error):
+def test_constructor_rejects_what_is_not_a_normal_form(monomials, error,
+                                                        message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         Ordinal(monomials)
 
 
@@ -510,10 +521,15 @@ def test_reflected_operators_and_cardinal_order_against_ints():
     assert Cardinal.aleph(0) >= 10 ** 9
 
 
+def kappa(*counts):
+    # the instance's cardinal sum of counts, as normalize counts it
+    return normalize(Instance.of(*((2, c) for c in counts))).kappa
+
+
 def test_cardinal_sum_and_ordinal_view():
-    assert cardinal_sum([Cardinal.finite(2), Cardinal.finite(3)]) == Cardinal.finite(5)
-    assert cardinal_sum([Cardinal.finite(2), Cardinal.aleph(0)]) == Cardinal.aleph(0)
-    assert cardinal_sum([Cardinal.aleph(1), Cardinal.aleph(0)]) == Cardinal.aleph(1)
+    assert kappa(Cardinal.finite(2), Cardinal.finite(3)) == Cardinal.finite(5)
+    assert kappa(Cardinal.finite(2), Cardinal.aleph(0)) == Cardinal.aleph(0)
+    assert kappa(Cardinal.aleph(1), Cardinal.aleph(0)) == Cardinal.aleph(1)
     assert Cardinal.aleph(0).as_ordinal() == w
     assert Cardinal.aleph(1).as_ordinal() == w1
     assert Cardinal.finite(4).as_ordinal() == from_int(4)

@@ -196,8 +196,9 @@ def test_values_and_records_copy_and_pickle(how):
 
 def forwarding_constructors(sources):
     """The Record subclasses (by name) whose __init__ only forwards its
-    parameters, in order and with no defaults, to one self._init call
-    (memo slots as None): the generated constructor does that already."""
+    parameters, in order and with no defaults but trailing None ones, to
+    one self._init call (memo slots as None): the generated constructor
+    does that already, declared optional=k for k None defaults."""
     classes = [node for source in sources for node in ast.walk(
         ast.parse(source)) if isinstance(node, ast.ClassDef)]
     records, grown = {"Record"}, True
@@ -222,7 +223,8 @@ def forwarding_constructors(sources):
                 and isinstance(st.value.value, str))]
             call = body[0].value if len(body) == 1 and isinstance(
                 body[0], ast.Expr) else None
-            if (a.defaults or a.kwonlyargs or a.vararg or a.kwarg
+            if (a.kwonlyargs or a.vararg or a.kwarg or any(
+                    ast.unparse(d) != "None" for d in a.defaults)
                     or a.posonlyargs or not isinstance(call, ast.Call)
                     or call.keywords or ast.unparse(call.func) != "self._init"):
                 continue
@@ -259,17 +261,21 @@ class Swapped(Record):
     __slots__ = ("a", "b")
     def __init__(self, a, b):
         self._init(b, a)
+class Defaulted(Record):
+    __slots__ = ("a", "b", "_memo")
+    def __init__(self, a, b=None):
+        self._init(a, b, None)
 """
-    assert forwarding_constructors([forwarder]) == ["Base", "Sub"]
+    assert forwarding_constructors([forwarder]) == ["Base", "Sub", "Defaulted"]
 
 
 def test_each_record_class_compiles_one_constructor():
     # a generated __init__, or its own constructor ending in _init
     for cls in (NormalizedInstance, Exists, Infinite, Independent,
-                OrdinalExpression, CriterionResult, witness.RankColouring):
+                OrdinalExpression, CriterionResult, witness.RankColouring,
+                Analysis, witness.ObstructionCertificate):
         assert "__init__" in vars(cls) and "_init" not in vars(cls), cls
-    for cls in (Instance, Analysis, Cardinal, EnumerationBounds,
-                witness.ObstructionCertificate, Ordinal, Atom):
+    for cls in (Instance, Cardinal, EnumerationBounds, Ordinal, Atom):
         assert "_init" in vars(cls), cls
     assert NormalizedInstance((), Cardinal())._facts is None
     with pytest.raises(TypeError):
