@@ -222,14 +222,10 @@ def classify(norm: NormalizedInstance) -> Analysis:
     """Walk the case tree once per norm object, later calls reading the
     kept facts; the leaf computes the result.  Anything but a
     NormalizedInstance, such as a degenerate Exists, raises TypeError."""
-    if not isinstance(norm, NormalizedInstance):
-        raise TypeError(f"{norm!r} is not a NormalizedInstance")
-    return _classify(norm)
-
-
-def _classify(norm: NormalizedInstance) -> Analysis:
-    # classify past its type check, for a norm analyze has just built
-    facts = norm._facts
+    try:
+        facts = norm._facts
+    except AttributeError:
+        raise TypeError(f"{norm!r} is not a NormalizedInstance") from None
     if facts is None:
         trail: List[str] = []
         case, result, decs, s = _case_tree(norm, trail)
@@ -408,7 +404,7 @@ def analyze(inst: Instance) -> Analysis:
     if a is None:
         norm = normalize(inst)
         if type(norm) is NormalizedInstance:
-            a = _classify(norm)
+            a = classify(norm)
         elif norm.value.is_zero():
             a = Analysis(CasePath.ZERO, ("some target is 0",), norm, None)
         else:

@@ -1,18 +1,20 @@
 """Desk-scale oracles that recompute answers by brute force.
 
-Nothing here reuses the closed formulas of the main engine: finite
-pigeonhole numbers come from exhaustive colouring search, Milner-Rado
-sums from an ascending scan for the least non-expressible ordinal, and
-the cross-check formulas are written out independently, so agreement is
-evidence rather than tautology; nothing here calls mr_sum or natural_sum.
-Each Milner-Rado scan asks one witness.NatsumSplitter, kept for that
-scan only, yes or no per candidate.  The Milner-Rado check builds what
-it asks as normal forms with the kernel's unchecked builder, with no
-arithmetic, and asks each distinct seeded draw once.  Its finite probes
-0..49 are built once at import, and its seeded draws, which depend only
-on the exponent pool's size and the sample count, are kept as (pool
-index, b, c) ints in a small LRU; no answer, splitter or table of merged
-bounds outlives a scan.
+Nothing here names mr_sum, mr_sum_counted, natural_sum, p_ord, cb_rank,
+case6_decompose, minimal_omega_power_bound, classify or analyze, and no
+search prunes on the answer it checks, so agreement is evidence rather
+than tautology.  A finite ordinal is discrete, so a colour class holds a
+copy of a finite t exactly when it has t points or more: finite arrows
+search the class sizes a colouring can have.  Milner-Rado sums come from an
+ascending scan for the least non-expressible ordinal, each scan asking
+one witness.NatsumSplitter yes or no per candidate; the cross-check
+formulas are written out independently.  The Milner-Rado check builds
+what it asks with the kernel's unchecked builder, with no arithmetic,
+and asks each distinct seeded draw once.  Its finite probes 0..49 are
+the kernel's shared nodes, and its seeded draws, which depend only on
+the exponent pool's size and the sample count, are kept as (pool index,
+b, c) ints in a small LRU; no answer, splitter or table of merged bounds
+outlives a scan.
 
 Enumerations are ascending by construction: with exponents descending
 and coefficients rising, product order is ordinal order.
@@ -33,6 +35,7 @@ from .ordinal import (
     Record,
     ZERO,
     ZeroInput,
+    _FINITE,
     _build,
     _coerce,
     add,
@@ -51,14 +54,17 @@ class TooLarge(ValueError):
     """The search space exceeds the exhaustive-enumeration guard."""
 
 
-# -- finite pigeonhole by exhaustive colouring ---------------------------------
+# -- finite arrows by class sizes ---------------------------------------------
 
 
 def finite_arrow_check(beta: int, targets: Sequence[int]) -> bool:
     """True iff every colouring of beta points in len(targets) colours
-    gives some colour i at least targets[i] points.  Searches colourings
-    in colour-radix order, pruning a branch as soon as a class reaches
-    its target or the remaining points cannot avoid that."""
+    gives some colour i a copy of targets[i].  A finite ordinal is a
+    discrete space, so a class holds a copy of t exactly when it has at
+    least t points, and a colouring matters only through its class
+    sizes, which add up to beta.  The relation therefore fails exactly
+    when sizes c_i < targets[i] add up to beta; the totals such sizes
+    reach are built colour by colour, never above beta."""
     if beta < 1 or not targets or any(t < 1 for t in targets):
         raise ZeroInput("beta and all targets must be positive")
     k = len(targets)
@@ -66,29 +72,10 @@ def finite_arrow_check(beta: int, targets: Sequence[int]) -> bool:
         return beta >= targets[0]
     if k ** beta > COLOURING_GUARD:
         raise TooLarge(f"{k}^{beta} colourings exceed the guard")
-    return not _avoids(beta, targets, [0] * k, 0)
-
-
-def _avoids(beta: int, targets: Sequence[int], counts: List[int],
-            point: int) -> bool:
-    # whether points point..beta-1 can be coloured with each class below
-    # its target, counts[i] points of colour i placed; a module function,
-    # not a closure, so that the recursion leaves no reference cycle
-    k = len(targets)
-    if any(counts[i] >= targets[i] for i in range(k)):
-        return False
-    if point == beta:
-        return True
-    slack = sum(targets[i] - 1 - counts[i] for i in range(k))
-    if beta - point > slack:
-        return False
-    for i in range(k):
-        counts[i] += 1
-        if counts[i] < targets[i] and _avoids(beta, targets, counts, point + 1):
-            counts[i] -= 1
-            return True
-        counts[i] -= 1
-    return False
+    totals = {0}
+    for t in targets:
+        totals = {s + c for s in totals for c in range(min(t, beta + 1 - s))}
+    return beta not in totals
 
 
 # -- bounded enumeration of countable normal forms -----------------------------
@@ -178,10 +165,6 @@ def _step_down(x: Ordinal) -> List[Ordinal]:
     return out
 
 
-# the finite probes n < 50 of the Milner-Rado check, built once
-_FINITE_PROBES = tuple(_build(((ZERO, n),) if n else ()) for n in range(50))
-
-
 @lru_cache(maxsize=32)
 def _seeded_draws(pool_size: int,
                   sample_count: int) -> Tuple[Tuple[int, int, int], ...]:
@@ -220,8 +203,8 @@ def mr_sum_bruteforce_check(bounds_list, candidate, sample_count: int) -> bool:
     if splitter.splits(candidate):
         return False
 
-    small = int(candidate) if candidate.is_finite() else 50
-    for probe in _FINITE_PROBES[:small]:
+    small = min(int(candidate), 50) if candidate.is_finite() else 50
+    for probe in _FINITE[:small]:
         if not splitter.splits(probe):
             return False
 

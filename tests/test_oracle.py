@@ -65,6 +65,20 @@ def test_finite_arrow_threshold_sweep():
                 (beta >= threshold)
 
 
+def test_finite_arrow_matches_every_point_colouring():
+    # the definition itself: every map of beta points to k colours puts at
+    # least t_i points, a copy of the discrete space t_i, in some class i
+    for k in range(1, 4):
+        for targets in itertools.product(range(1, 5), repeat=k):
+            for beta in range(1, 8):
+                holds = all(
+                    any(colouring.count(i) >= t
+                        for i, t in enumerate(targets))
+                    for colouring in itertools.product(range(k), repeat=beta))
+                assert finite_arrow_check(beta, list(targets)) == holds, \
+                    (beta, targets)
+
+
 def test_finite_arrow_single_colour():
     assert finite_arrow_check(3, [3]) is True
     assert finite_arrow_check(2, [3]) is False
@@ -72,11 +86,12 @@ def test_finite_arrow_single_colour():
 
 
 def test_the_oracles_leave_no_cyclic_garbage():
-    # a search that refers to itself through a closure cell is freed only
-    # by the cyclic collector; these leave nothing for it
+    # a reference cycle left by a call, such as a nested function that
+    # calls itself through its closure cell, is freed only by the cyclic
+    # collector; these calls leave nothing for it
     calls = [
-        lambda: finite_arrow_check(5, [2, 3, 2]),   # holds: pruned at once
-        lambda: finite_arrow_check(4, [2, 3, 2]),   # fails: a full search
+        lambda: finite_arrow_check(5, [2, 3, 2]),   # holds
+        lambda: finite_arrow_check(4, [2, 3, 2]),   # fails
         lambda: bruteforce_mr_sum([add(w, 1), from_int(3)]),
         lambda: mr_sum_bruteforce_check([add(w, 1), add(w, 1)],
                                         add(mul(w, 2), 1), 5),

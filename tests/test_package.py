@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import ordpigeon
-from ordpigeon import engine, ordinal, parser, witness
+from ordpigeon import engine, oracle, ordinal, parser, witness
 from ordpigeon.engine import (
     Analysis,
     CasePath,
@@ -267,6 +267,48 @@ class Defaulted(Record):
         self._init(a, b, None)
 """
     assert forwarding_constructors([forwarder]) == ["Base", "Sub", "Defaulted"]
+
+
+# the engine's closed formulas and case tree, which the oracles check and
+# so must not use
+ORACLE_FORBIDDEN = frozenset("""mr_sum mr_sum_counted natural_sum p_ord
+    cb_rank case6_decompose minimal_omega_power_bound classify
+    analyze""".split())
+
+
+def formula_names(source):
+    """The forbidden names a source refers to, sorted: as a name, an
+    attribute, an import or a string that is exactly the name, as
+    getattr takes it.  Prose that mentions a name refers to nothing."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return sorted(found & ORACLE_FORBIDDEN)
+
+
+def test_the_oracles_use_no_engine_formula():
+    assert formula_names(Path(oracle.__file__).read_text(
+        encoding="utf-8")) == []
+
+
+def test_the_formula_guard_finds_each_way_of_naming():
+    source = """
+\"\"\"A docstring may say mr_sum, classify or p_ord.\"\"\"
+from .ordinal import natural_sum as merge
+from . import engine
+import ordpigeon.ordinal
+def check(x):
+    return engine.analyze(x), cb_rank(x), getattr(ordpigeon.ordinal, "p_ord")
+"""
+    assert formula_names(source) == ["analyze", "cb_rank", "natural_sum",
+                                     "p_ord"]
 
 
 def test_each_record_class_compiles_one_constructor():

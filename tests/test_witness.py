@@ -576,6 +576,101 @@ def test_verify_needs_the_right_instance():
     assert not verify_certificates(col, other, certs)
 
 
+# Forgeries that no single-field tamper reaches, each rejected by one check
+# of the verifier alone: with that check removed, the verifier accepts it
+# (or, for the colour with no intervals, raises IndexError)
+DE, DS, DNE = (CertKind.DERIVATIVE_EMPTY, CertKind.DERIVATIVE_SMALL,
+               CertKind.DERIVATIVE_NOT_EMBEDDABLE)
+
+
+def rank_colouring(domain, classes, tops=(), zero=None):
+    return RankColouring(domain, ColouringMode.RANK, classes, tops, zero)
+
+
+def forged_residual():
+    # ranks [0, 2) are all of w^2, whose second derivative is empty, but
+    # so is that of w+1: the class may still hold the target
+    return (norm_of((add(w, 1), 2)),
+            rank_colouring(wp(2), (((ZERO, from_int(2)),), ())),
+            [ObstructionCertificate(0, DE, add(w, 1), level=from_int(2)),
+             ObstructionCertificate(1, DE, add(w, 1), level=ZERO)])
+
+
+def forged_shapes():
+    # the witness that w+2 -> (w*2) is refused: the residuals w+2 and w*2
+    # are not the shapes w^rho*a + 1 and w^rho*b with b > a
+    return (norm_of((mul(w, 2), 1)),
+            rank_colouring(add(w, 2), (((ZERO, ONE),),), (0,)),
+            [ObstructionCertificate(0, DNE, mul(w, 2), level=ZERO,
+                                    class_residual=add(w, 2),
+                                    target_residual=mul(w, 2))])
+
+
+def forged_cofinality():
+    # the split of w_1 by cofinality avoids w_1+1 and w+1, not w_1 and w+1,
+    # whose value is w_1 itself
+    _, col, certs = built(w1, (add(w1, 1), 1), (add(w, 1), 1))
+    return (norm_of((w1, 1), (add(w, 1), 1)), col,
+            [replace(certs[0], claimed_target=w1), certs[1]])
+
+
+def forged_top_and_zero():
+    # the class that takes every top point takes the point 0 as well
+    norm, col, certs = built(add(wp(2), 1), (mul(w, 2), 2))
+    return norm, replace(col, zero_colour=0), certs
+
+
+def forged_empty_final_class():
+    # the class that takes every top point has no rank interval to end on
+    norm, col, certs = built(add(wp(2), 1), (mul(w, 2), 2))
+    return norm, replace(col, rank_classes=((), ((ZERO, from_int(2)),))), certs
+
+
+def forged_early_final_interval():
+    # the residual from rank 1 up, w^2+1, is the domain's and not the
+    # class's when its last interval [1, 2) stops short of rank 3
+    return (norm_of((mul(wp(2), 2), 2)),
+            rank_colouring(add(wp(3), 1), (
+                ((ONE, from_int(2)),),
+                ((ZERO, ONE), (from_int(2), from_int(3)))), (0,)),
+            [ObstructionCertificate(0, DNE, mul(wp(2), 2), level=ZERO,
+                                    class_residual=add(wp(2), 1),
+                                    target_residual=mul(wp(2), 2)),
+             ObstructionCertificate(1, DE, mul(wp(2), 2), level=from_int(2))])
+
+
+def forged_uncoloured_zero():
+    # 7 -> (4, 4) holds; six points in classes of three leave the point 0
+    # uncoloured
+    return (norm_of((4, 2)),
+            rank_colouring(7, ((), ()), (0, 0, 0, 1, 1, 1)),
+            [ObstructionCertificate(i, DS, 4, level=ZERO, bound=3)
+             for i in range(2)])
+
+
+def forged_duplicate_colour():
+    norm, col, certs = built(wp(2), (add(w, 1), 2))
+    return norm, col, [certs[0], certs[1], certs[0]]
+
+
+FORGERIES = {
+    "derivative-residual": forged_residual,
+    "distinguishing-shapes": forged_shapes,
+    "cofinality-targets": forged_cofinality,
+    "dne-takes-the-zero": forged_top_and_zero,
+    "dne-without-intervals": forged_empty_final_class,
+    "dne-ends-below-g": forged_early_final_interval,
+    "finite-domain-without-zero": forged_uncoloured_zero,
+    "duplicate-colour": forged_duplicate_colour,
+}
+
+
+@pytest.mark.parametrize("forge", FORGERIES.values(), ids=FORGERIES)
+def test_verify_rejects_forgeries_beyond_single_tampers(forge):
+    norm, col, certs = forge()
+    assert verify_certificates(col, norm, certs) is False
+
+
 def test_round_trip_on_a_spread_of_failing_spaces():
     cases = [
         (wp(2), ((add(w, 1), 2),)),
