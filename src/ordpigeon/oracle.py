@@ -64,14 +64,21 @@ def finite_arrow_check(beta: int, targets: Sequence[int]) -> bool:
     least t points, and a colouring matters only through its class
     sizes, which add up to beta.  The relation therefore fails exactly
     when sizes c_i < targets[i] add up to beta; the totals such sizes
-    reach are built colour by colour, never above beta."""
+    reach are built colour by colour, never above beta.
+
+    The guard bounds that work.  Each colour's step takes the totals
+    reached so far, at most the beta + 1 values 0..beta, each to s + c
+    for every c < min(t, beta + 1 - s) <= min(t, beta + 1), so it makes
+    at most (beta + 1) * min(t, beta + 1) set insertions; above
+    COLOURING_GUARD insertions in all the check raises TooLarge."""
     if beta < 1 or not targets or any(t < 1 for t in targets):
         raise ZeroInput("beta and all targets must be positive")
     k = len(targets)
     if k == 1:
         return beta >= targets[0]
-    if k ** beta > COLOURING_GUARD:
-        raise TooLarge(f"{k}^{beta} colourings exceed the guard")
+    steps = (beta + 1) * sum(min(t, beta + 1) for t in targets)
+    if steps > COLOURING_GUARD:
+        raise TooLarge(f"{steps} search steps exceed the guard")
     totals = {0}
     for t in targets:
         totals = {s + c for s in totals for c in range(min(t, beta + 1 - s))}

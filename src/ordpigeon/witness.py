@@ -10,13 +10,17 @@ Each colour carries an obstruction certificate saying why its class
 cannot contain a copy of its target; _ROWS has a row per kind.  The
 verifier recomputes the order types and derivative shapes from the
 colouring alone, so a certificate cannot be weakened without detection.
-It reads each part once, the cheap checks before any residual is
-computed, and walks the rank intervals up from 0, each colour's next
-one in turn, to check that they tile [0, g).  Colours, bounds and
-top-point and zero colours are exact ints (no bool or float), ordinal
-fields, the domain and interval endpoints Ordinals or ints >= 0, the
-mode a ColouringMode, the rank classes, their unions and the top-point
-colours tuples, each interval a pair, each certificate an
+It checks, in order: each certificate's colour, target and row; the
+colouring pass's counts (g, top count, exceptional points) against the
+bounds; the pass's walk, which checks that the rank intervals tile
+[0, g); the levels and residuals.  The pass reads only the colouring, so
+it is kept on it (the _checked memo, with the last norm's colour list)
+and a tamper sweep walks once; a completed pass read only tuples, exact
+ints and Ordinals, so it cannot go stale, and a failed one is not kept.
+Colours, bounds and top-point and zero colours are exact ints (no bool
+or float), ordinal fields, the domain and interval endpoints Ordinals or
+ints >= 0, the mode a ColouringMode, the rank classes, their unions and
+the top-point colours tuples, each interval a pair, each certificate an
 ObstructionCertificate in a tuple or list, and the instance no
 degenerate instance's Exists; anything else is rejected.
 
@@ -88,6 +92,7 @@ class CertKind(enum.Enum):
     DERIVATIVE_SMALL = "DerivativeSmall"
     DERIVATIVE_NOT_EMBEDDABLE = "DerivativeNotEmbeddable"
     COFINALITY_SPLIT = "CofinalitySplit"
+    __hash__ = object.__hash__  # members are unique; keeps _ROWS[kind] cheap
 
 
 Interval = Tuple[Ordinal, Ordinal]
@@ -112,7 +117,7 @@ class RankColouring(Record):
     """
 
     __slots__ = ("domain", "mode", "rank_classes", "top_point_colours",
-                 "zero_colour")
+                 "zero_colour", "_checked")
     domain: Ordinal
     mode: ColouringMode
     rank_classes: Tuple[IntervalUnion, ...]
@@ -639,6 +644,55 @@ def _matches(field, value: Ordinal) -> bool:
     return field is value or _is_ordinal(field) and compare(field, value) == 0
 
 
+def _colouring_facts(col: RankColouring, k: int):
+    # the colouring pass's counts: g, the top count, each colour's exceptions
+    if col.mode is not ColouringMode.RANK:
+        return None
+    tops, zero = col.top_point_colours, col.zero_colour
+    ms = _coerce(col.domain).monomials
+    g, m = ms[0] if ms else (ZERO, 1)
+    top_count = m if len(ms) > 1 else m - 1
+    # the empty domain has no point 0 to colour, a finite one colours it
+    if (zero is not None and not ms or zero is None and ms and not g.monomials
+            or len(tops) != top_count):
+        return None
+    exceptions = [0] * k
+    for c in [*tops, zero] if zero is not None else tops:
+        if type(c) is not int or not 0 <= c < k:
+            return None
+        exceptions[c] += 1
+    return g, top_count, exceptions
+
+
+def _tiling(classes, k: int, g: Ordinal):
+    # the walk: from 0, some colour's next interval starts where the last
+    # ended, up to g (natsum_split lays colours out in turn, so try the
+    # next colour first); each colour's order type and its type before
+    # its last interval, or None (an interval that is no pair never fits)
+    if any(type(ivs) is not tuple for ivs in classes):
+        return None
+    taken, types, before_last = [0] * k, [ZERO] * k, [ZERO] * k
+    cursor, i = ZERO, 0
+    for _ in range(sum(map(len, classes))):
+        for _ in range(k):
+            ivs, j = classes[i], taken[i]
+            if j < len(ivs):
+                iv = ivs[j]
+                if type(iv) is tuple and len(iv) == 2 \
+                        and _matches(iv[0], cursor):
+                    break
+            i = (i + 1) % k
+        else:
+            return None
+        hi = iv[1]
+        if not _is_ordinal(hi) or compare(hi, cursor) <= 0:
+            return None
+        before_last[i] = types[i]
+        types[i] = add(types[i], left_subtract(cursor, hi))
+        taken[i], cursor, i = j + 1, hi, (i + 1) % k
+    return (types, before_last) if compare(cursor, g) == 0 else None
+
+
 def verify_certificates(col: RankColouring, norm: NormalizedInstance,
                         certs) -> bool:
     """Recompute every quantity a certificate relies on and compare
@@ -652,7 +706,8 @@ def verify_certificates(col: RankColouring, norm: NormalizedInstance,
     if not (isinstance(norm, NormalizedInstance) and norm.kappa.is_finite()
             and type(classes) is tuple and len(classes) == norm.kappa.size):
         return False
-    flat = _by_colour(norm)
+    kept = col._checked or (None,) * 4  # norm, its colour list, the pass
+    flat = kept[1] if kept[0] is norm else _by_colour(norm)
     k = len(flat)
     per: list = [None] * k
     for cert in certs:
@@ -678,21 +733,11 @@ def verify_certificates(col: RankColouring, norm: NormalizedInstance,
                 and all(c.kind is CertKind.COFINALITY_SPLIT for c in per)
                 and compare(flat[0], OMEGA1) > 0 and compare(flat[1], OMEGA) > 0)
 
-    if col.mode is not ColouringMode.RANK:
+    facts = kept[2] or _colouring_facts(col, k)
+    if facts is None:
         return False
-    ms = _coerce(col.domain).monomials
-    g, m = ms[0] if ms else (ZERO, 1)
-    top_count = m if len(ms) > 1 else m - 1
-    # the empty domain has no point 0 to colour, a finite one colours it
-    if (zero is not None and not ms or zero is None and ms and not g.monomials
-            or len(tops) != top_count):
-        return False
-    exceptions = [0] * k
-    for c in [*tops, zero] if zero is not None else tops:
-        if type(c) is not int or not 0 <= c < k:
-            return False
-        exceptions[c] += 1
-    # each class's exceptional points, before anything is recomputed: a
+    g, top_count, exceptions = facts
+    # each class's exceptional points, before the walk: a
     # DerivativeNotEmbeddable class takes all the top points and not the
     # point 0; any other class has exactly bound of them, none if no bound
     for i, cert in enumerate(per):
@@ -703,37 +748,11 @@ def verify_certificates(col: RankColouring, norm: NormalizedInstance,
         elif (type(cert.bound) is not int or cert.bound != n if n
               else cert.bound is not None):
             return False
-
-    # tiling: from 0, some colour's next interval starts where the last
-    # ended, up to g (natsum_split lays colours out in turn, so try the
-    # next colour first), summing each colour's order type on the way;
-    # an interval that is no pair is never taken, so the walk fails
-    count = 0
-    for ivs in classes:
-        if type(ivs) is not tuple:
-            return False
-        count += len(ivs)
-    taken, types, before_last = [0] * k, [ZERO] * k, [ZERO] * k
-    cursor, i = ZERO, 0
-    for _ in range(count):
-        for _ in range(k):
-            ivs, j = classes[i], taken[i]
-            if j < len(ivs):
-                iv = ivs[j]
-                if type(iv) is tuple and len(iv) == 2 \
-                        and _matches(iv[0], cursor):
-                    break
-            i = (i + 1) % k
-        else:
-            return False
-        hi = iv[1]
-        if not _is_ordinal(hi) or compare(hi, cursor) <= 0:
-            return False
-        before_last[i] = types[i]
-        types[i] = add(types[i], left_subtract(cursor, hi))
-        taken[i], cursor, i = j + 1, hi, (i + 1) % k
-    if compare(cursor, g):
+    walk = kept[3] or _tiling(classes, k, g)
+    if walk is None:
         return False
+    RankColouring._checked.__set__(col, (norm, flat, facts, walk))
+    types, before_last = walk
 
     # each level against the order types, before any residual; a
     # DerivativeNotEmbeddable class's last interval finishes the rank space

@@ -12,9 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ordpigeon.selftest as selftest_mod
-from ordpigeon.cli import run
+import ordpigeon.witness as witness_mod
+from ordpigeon.cli import _parse_instance, run
+from ordpigeon.engine import normalize
 from ordpigeon.parser import EXCERPT
 from ordpigeon.selftest import CriterionResult
+from ordpigeon.witness import witness_from_json
+from test_witness import verdict_on_fresh_and_used
 
 SRC = str(Path(selftest_mod.__file__).resolve().parents[1])
 
@@ -302,7 +306,6 @@ def test_witness_refusals_are_pinned(args, err):
 
 def test_witness_that_fails_its_own_check_is_an_error(monkeypatch, capsys):
     # the check is a plain test, so it holds under python -O too
-    import ordpigeon.witness as witness_mod
     monkeypatch.setattr(witness_mod, "verify_certificates",
                         lambda *args: False)
     assert run(["witness", "w^3", "w+1:3"]) == 2
@@ -951,9 +954,22 @@ def mutated(data, envelope):
 @given(st.data())
 def test_fuzzed_witness_files_end_in_a_documented_exit(
         witness_envelopes, tmp_path_factory, data):
-    envelope = json.loads(json.dumps(
-        data.draw(st.sampled_from(witness_envelopes))))
+    base = data.draw(st.sampled_from(witness_envelopes))
+    envelope = json.loads(json.dumps(base))
     path = tmp_path_factory.getbasetemp() / "fuzzed-witness.json"
     path.write_text(mutated(data, envelope), encoding="utf-8")
-    code, _, err = run_captured(["verify", str(path)])
+    verified, real = [], witness_mod.verify_certificates
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(witness_mod, "verify_certificates",
+                   lambda *args: verified.append(args) or real(*args))
+        code, _, err = run_captured(["verify", str(path)])
     assert_documented_exit(code, err)
+    # the file's colouring, checked again with the base witness's
+    # certificates and norm: the verdict does not change
+    result = base["result"]
+    _, base_certs = witness_from_json(result)
+    base_norm = normalize(_parse_instance(result["instance"]))
+    for col, norm, certs in verified:
+        assert verdict_on_fresh_and_used(norm, col, certs, [
+            (base_norm, base_certs), (norm, base_certs),
+            (base_norm, certs)]) is (code == 0)

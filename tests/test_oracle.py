@@ -111,8 +111,15 @@ def test_the_oracles_leave_no_cyclic_garbage():
 
 
 def test_finite_arrow_guard_and_validation():
-    with pytest.raises(TooLarge):
-        finite_arrow_check(25, [13, 13])
+    # the guard bounds the search's (beta + 1) * sum(min(t, beta + 1))
+    # set insertions, not the k^beta colourings: 25 = 12 + 12 + 1 points
+    # take 26 * 26 of them
+    assert finite_arrow_check(25, [13, 13]) is True
+    assert finite_arrow_check(24, [13, 13]) is False
+    # 4,001 * 8,002 = 32,016,002 insertions, above the guard
+    assert 4001 * 8002 > oracle_mod.COLOURING_GUARD
+    with pytest.raises(TooLarge, match="32016002 search steps"):
+        finite_arrow_check(4000, [4001, 4001])
     with pytest.raises(ZeroInput):
         finite_arrow_check(0, [1])
     with pytest.raises(ZeroInput):

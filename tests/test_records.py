@@ -32,7 +32,9 @@ from ordpigeon.parser import OrdinalExpression  # noqa: F401  (defines one)
 from ordpigeon.witness import (
     CertKind,
     ObstructionCertificate,
+    RankColouring,
     build_counterexample,
+    verify_certificates,
 )
 
 
@@ -148,6 +150,32 @@ def test_replace_builds_what_the_constructor_builds(record):
         assert replaced == cls(*values)
         assert replaced != record
         assert hash(replaced) == hash(cls(*values))
+
+
+def test_the_colouring_pass_memo_is_not_a_field():
+    # the verifier keeps its colouring pass in _checked; copies start empty
+    assert "_checked" in RankColouring.__slots__
+    norm = normalize(Instance.of((mul(OMEGA, 2), 2)))
+    col, certs = build_counterexample(add(mul(OMEGA, OMEGA), 1), norm)
+    fresh = RankColouring(*col._astuple())
+    before = repr(col)
+    assert col._checked is None and verify_certificates(col, norm, certs)
+    assert col._checked is not None and fresh._checked is None
+    assert "_checked" not in RankColouring._fields
+    assert [f.name for f in dataclasses.fields(col)] == list(
+        RankColouring._fields)
+    assert col == fresh and hash(col) == hash(fresh)
+    assert repr(col) == repr(fresh) == before
+    assert col.__reduce__() == (RankColouring, col._astuple())
+    for twin in (pickle.loads(pickle.dumps(col)), copy.copy(col),
+                 copy.deepcopy(col), dataclasses.replace(col),
+                 dataclasses.replace(col, zero_colour=None)):
+        assert twin == col and twin._checked is None
+    with pytest.raises(AttributeError):
+        setattr(col, "_checked", None)
+    with pytest.raises(AttributeError):
+        delattr(col, "_checked")
+    assert col._checked is not None
 
 
 @pytest.mark.parametrize("record", witness_records(), ids=WITNESS_IDS)

@@ -40,6 +40,7 @@ from ordpigeon.ordinal import (
 from ordpigeon.oracle import mr_sum_bruteforce_check
 from ordpigeon.parser import parse_expression
 from ordpigeon.selftest import (
+    _TAMPERS,
     _maximal_failing,
     _tamper_all,
     _witness_grid,
@@ -669,6 +670,97 @@ FORGERIES = {
 def test_verify_rejects_forgeries_beyond_single_tampers(forge):
     norm, col, certs = forge()
     assert verify_certificates(col, norm, certs) is False
+
+
+# -- verification: the colouring pass, kept on the colouring ---------------------
+
+
+def criterion_7_sweep():
+    """Criterion 7's cases: (genuine norm, colouring and certificates,
+    then the case's colouring and certificates) for each witness, each
+    single-field tamper and the top points shifted one colour up."""
+    for inst in _witness_grid():
+        norm = normalize(inst)
+        col, certs = build_counterexample(_maximal_failing(p_top(inst).value),
+                                          norm)
+        certs = tuple(certs)
+        yield norm, col, certs, col, certs
+        for j, cert in enumerate(certs):
+            for field, bump in _TAMPERS:
+                broken = replace(cert, **{field: bump(getattr(cert, field))})
+                yield (norm, col, certs, col,
+                       certs[:j] + (broken,) + certs[j + 1:])
+        if col.top_point_colours:
+            yield norm, col, certs, replace(col, top_point_colours=tuple(
+                c + 1 for c in col.top_point_colours)), certs
+
+
+def same_count_norms(norm):
+    # an equal norm built afresh, and one of other targets, same colour count
+    return [NormalizedInstance(norm.entries, norm.kappa),
+            norm_of((add(wp(w), 5), norm.kappa.size))]
+
+
+def verdict_on_fresh_and_used(norm, col, certs, warm_ups):
+    """The verdict on a fresh copy of col, which must equal the verdict on
+    col itself after the warm-up verifications, each (norm, certs)."""
+    fresh = verify_certificates(replace(col), norm, certs)
+    for args in warm_ups:
+        verify_certificates(col, *args)
+    assert verify_certificates(col, norm, certs) is fresh
+    return fresh
+
+
+def test_criterion_7_verdicts_do_not_depend_on_the_kept_pass():
+    # each case on a fresh copy, and on a colouring already checked with
+    # its genuine certificates, with the sweep's previous case and against
+    # two other norms of the same colour count
+    verdicts, earlier = Counter(), None
+    for norm, col, certs, case_col, case_certs in criterion_7_sweep():
+        warm_ups = [(norm, certs), (norm, earlier or certs),
+                    *((other, certs) for other in same_count_norms(norm))]
+        verdicts[verdict_on_fresh_and_used(norm, case_col, case_certs,
+                                           warm_ups)] += 1
+        if case_certs is certs and case_col is col:
+            # the colour list follows the norm: other targets refuse
+            other = same_count_norms(norm)[1]
+            assert not verdict_on_fresh_and_used(other, col, certs,
+                                                 [(norm, certs)])
+        earlier = case_certs
+    assert verdicts == {True: 50, False: 749 + 48}
+
+
+@pytest.mark.parametrize("forge", FORGERIES.values(), ids=FORGERIES)
+def test_forgeries_are_refused_on_a_used_colouring(forge):
+    norm, col, certs = forge()
+    warm_ups = [(norm, certs), *((other, certs)
+                                 for other in same_count_norms(norm))]
+    assert verdict_on_fresh_and_used(norm, col, certs, warm_ups) is False
+
+
+def test_the_colouring_pass_runs_once_per_colouring(monkeypatch):
+    # criterion 7 verifies 50 witnesses, each against its 7 x colours
+    # tampers, and 48 copies with the top points shifted.  Each colouring
+    # object reaches the colouring pass once, 50 + 48 times in all; with a
+    # pass per call, 307 calls got that far and 189 walked.  Only the 50
+    # genuine calls walk: the tampers that get that far read the kept
+    # walk, and the shifted copies stop at their exceptional points
+    seen = {"_colouring_facts": [], "_tiling": []}  # kept, so no id recurs
+
+    def counted(name):
+        real = getattr(witness, name)
+
+        def count(col_or_classes, *args):
+            seen[name].append(col_or_classes)
+            return real(col_or_classes, *args)
+        return count
+    for name in seen:
+        monkeypatch.setattr(witness, name, counted(name))
+    result = criterion_7()
+    assert result.ok, result.line()
+    assert {name: (len(objs), len(set(map(id, objs))))
+            for name, objs in seen.items()} == {
+        "_colouring_facts": (50 + 48, 50 + 48), "_tiling": (50, 50)}
 
 
 def test_round_trip_on_a_spread_of_failing_spaces():
