@@ -71,6 +71,8 @@ def finite_arrow_check(beta: int, targets: Sequence[int]) -> bool:
     for every c < min(t, beta + 1 - s) <= min(t, beta + 1), so it makes
     at most (beta + 1) * min(t, beta + 1) set insertions; above
     COLOURING_GUARD insertions in all the check raises TooLarge."""
+    if type(beta) is not int or any(type(t) is not int for t in targets):
+        raise TypeError("beta and all targets must be ints")
     if beta < 1 or not targets or any(t < 1 for t in targets):
         raise ZeroInput("beta and all targets must be positive")
     k = len(targets)
@@ -96,6 +98,8 @@ class EnumerationBounds(Record):
         max_exponent = _coerce(max_exponent)
         if not max_exponent.is_countable():
             raise ValueError("enumeration is for countable ordinals only")
+        if type(max_coefficient) is not int or type(max_monomials) is not int:
+            raise TypeError("coefficient and monomial bounds must be ints")
         if max_coefficient < 1 or max_monomials < 1:
             raise ValueError("coefficient and monomial bounds must be positive")
         self._init(max_exponent, max_coefficient, max_monomials)
@@ -103,12 +107,14 @@ class EnumerationBounds(Record):
 
 def _terms_over(exponents: List[Ordinal], bounds: EnumerationBounds):
     # exponents descending.  The terms over exponents[i:] in product order
-    # are those without e_i, then e_i*c ahead of each shorter one, c rising
+    # are those without e_i, then e_i*c ahead of each shorter one, c rising;
+    # each head and each list of shorter tails is made once per exponent
     coeffs = range(1, bounds.max_coefficient + 1)
     tails = [()]
     for e in reversed(exponents):
-        tails = tails + [((e, c),) + t for c in coeffs for t in tails
-                         if len(t) < bounds.max_monomials]
+        roomy = [t for t in tails if len(t) < bounds.max_monomials]
+        tails += [head + t for head in [((e, c),) for c in coeffs]
+                  for t in roomy]
     return [_build(t) for t in tails]
 
 
@@ -142,10 +148,11 @@ def _natural_sum_by_table(parts: Sequence[Ordinal]) -> Ordinal:
 
 def _candidate_lattice(bounds_list: Sequence[Ordinal]) -> List[Ordinal]:
     # the least non-expressible ordinal only needs the bounds' exponents,
-    # with coefficients at most the column sums
-    columns = _natural_sum_by_table(bounds_list).monomials
-    return [_build(tuple((e, c) for (e, _), c in zip(columns, coeffs) if c))
-            for coeffs in product(*(range(s + 1) for _, s in columns))]
+    # with coefficients at most the column sums; each column's monomials
+    # are made once, None standing for coefficient 0
+    columns = [[None] + [(e, c) for c in range(1, s + 1)]
+               for e, s in _natural_sum_by_table(bounds_list).monomials]
+    return [_build(tuple(filter(None, pick))) for pick in product(*columns)]
 
 
 def bruteforce_mr_sum(bounds_list) -> Ordinal:
@@ -266,13 +273,12 @@ def _family_values(flat: List[Ordinal]) -> List[Ordinal]:
     succs = [_as_successor_power(t) for t in flat]
     if all(a is not None and not a.is_zero() for a in succs):
         values.append(add(omega_pow(_natural_sum_by_table(succs)), ONE))
+    # the powers family w^a and the mixed one, where a successor power
+    # w^d + 1 enters as the exponent d + 1: one scan, since on a list of
+    # powers alone the two families ask the same bounds
     powers = [_as_power(t) for t in flat]
-    if all(a is not None for a in powers):
-        values.append(omega_pow(bruteforce_mr_sum(powers)))
-    mixed = [p if p is not None else s
-             for p, s in zip(powers,
-                             [None if a is None or a.is_zero()
-                              else add(a, ONE) for a in succs])]
+    mixed = [p if p is not None else None if a is None or a.is_zero()
+             else add(a, ONE) for p, a in zip(powers, succs)]
     if all(a is not None for a in mixed) and any(p is not None for p in powers):
         values.append(omega_pow(bruteforce_mr_sum(mixed)))
     multiples = [_as_simple_multiple(t) for t in flat]

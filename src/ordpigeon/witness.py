@@ -346,46 +346,48 @@ class NatsumSplitter:
         below = skipped[0]
         if below == every:
             return shares
-        # an entry (j, i, left, below, p): part i takes p of the coefficient
-        # left at position j, after parts 0..i-1 took theirs there
+        # an entry (j, i, left, below, p), a share still to try: part i
+        # takes p of the coefficient left at position j, after parts
+        # 0..i-1 took theirs there
         stack: List[tuple] = []
         j, i, left = 0, 0, monos[0][1]
         while True:
             # enter part i at position j: unless a part i.. is below its
             # bound, parts i.. must fit in room[j][i]; part i takes at most
-            # its room, the last part all that is left.  At the last
-            # position room[-1][i] is one less than the bound's coefficient
-            # for a part still to get below there, so top can be -1: then
-            # no share fits and nothing is pushed
-            if below >> i or left <= room[j][i]:
+            # its room, the last part all that is left (room[j][k] is 0,
+            # so its top is at least left).  At the last position
+            # room[-1][i] is one less than the bound's coefficient for a
+            # part still to get below there, so p can be -1: then no share
+            # fits.  After the last position (j == n) some part is not
+            # below: nothing fits
+            p = -1
+            if j < n and (below >> i or left <= room[j][i]):
                 top = left if below >> i & 1 else room[j][i] - room[j][i + 1]
                 p = left if left < top else top
-                if p >= 0 and (i < last or p == left):
-                    stack.append((j, i, left, below, p))
-            while True:
+            # the largest share is taken at once, the smaller ones stacked
+            while p < 0:
                 if not stack:
                     return None
                 j, i, left, below, p = stack.pop()
-                if p and i < last:
-                    stack.append((j, i, left, below, p - 1))
                 del shares[j * k + i:]
-                shares.append(p)
-                # taking less than its bound's coefficient puts part i
-                # below, and at the last position a part must get below
-                if not below >> i & 1 and (
-                        p < room[j][i] - room[j][i + 1]
-                        or j == n - 1 and not tail >> i & 1):
-                    below |= 1 << i
-                if i < last:
-                    i, left = i + 1, left - p
-                    break
-                j += 1
-                below |= skipped[j]
-                if below == every:
-                    return shares
-                if j < n:
-                    i, left = 0, monos[j][1]
-                    break
+            if p and i < last:
+                stack.append((j, i, left, below, p - 1))
+            shares.append(p)
+            # taking less than its bound's coefficient puts part i
+            # below, and at the last position a part must get below
+            if not below >> i & 1 and (
+                    p < room[j][i] - room[j][i + 1]
+                    or j == n - 1 and not tail >> i & 1):
+                below |= 1 << i
+            if i < last:
+                i, left = i + 1, left - p
+                continue
+            j += 1
+            below |= skipped[j]
+            if below == every:
+                return shares
+            if j < n:
+                i, left = 0, monos[j][1]
 
     def splits(self, delta) -> bool:
         """Whether delta is a natural sum of parts below the bounds."""

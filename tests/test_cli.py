@@ -17,7 +17,7 @@ from ordpigeon.cli import _parse_instance, run
 from ordpigeon.engine import normalize
 from ordpigeon.parser import EXCERPT
 from ordpigeon.selftest import CriterionResult
-from ordpigeon.witness import witness_from_json
+from ordpigeon.witness import CertKind, witness_from_json
 from test_witness import verdict_on_fresh_and_used
 
 SRC = str(Path(selftest_mod.__file__).resolve().parents[1])
@@ -973,3 +973,62 @@ def test_fuzzed_witness_files_end_in_a_documented_exit(
         assert verdict_on_fresh_and_used(norm, col, certs, [
             (base_norm, base_certs), (norm, base_certs),
             (base_norm, certs)]) is (code == 0)
+
+
+# valid values for each certificate field and each rank-class endpoint,
+# so that every revalued file passes the reader
+ORDINAL_TEXTS = st.sampled_from([
+    "0", "1", "2", "3", "5", "w", "w+1", "w+2", "w*2", "w*2+1", "w*3",
+    "w^2", "w^2+1", "w^2+w", "w^2*2", "w^2*2+w", "w^3", "w^w", "w_1",
+    "w_1+1"])
+SMALL_INTS = st.integers(-1, 4) | st.integers()
+CERT_VALUES = {
+    "colour": SMALL_INTS,
+    "kind": st.sampled_from([k.value for k in CertKind]),
+    "claimed_target": ORDINAL_TEXTS,
+    "level": st.none() | ORDINAL_TEXTS,
+    "bound": st.none() | SMALL_INTS,
+    "class_residual": st.none() | ORDINAL_TEXTS,
+    "target_residual": st.none() | ORDINAL_TEXTS,
+}
+
+
+def value_places(result):
+    """(path in the result, strategy of valid values) for each certificate
+    field and each rank-class endpoint."""
+    for i, cert in enumerate(result["certificates"]):
+        for field in cert:
+            yield ("certificates", i, field), CERT_VALUES[field]
+    for u, union in enumerate(result["rank_classes"]):
+        for p in range(len(union)):
+            for end in (0, 1):
+                yield ("rank_classes", u, p, end), ORDINAL_TEXTS
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_revalued_witness_files_reach_the_verifier(
+        witness_envelopes, tmp_path_factory, data):
+    # one to three values changed, the JSON shape kept: the reader accepts
+    # the file, the verifier decides it, and the exit code is its verdict
+    base = data.draw(st.sampled_from(witness_envelopes))
+    envelope = json.loads(json.dumps(base))
+    spots = list(value_places(envelope["result"]))
+    for _ in range(data.draw(st.integers(1, 3))):
+        where, values = data.draw(st.sampled_from(spots))
+        parent = envelope["result"]
+        for key in where[:-1]:
+            parent = parent[key]
+        parent[where[-1]] = data.draw(values)
+    path = tmp_path_factory.getbasetemp() / "revalued-witness.json"
+    path.write_text(json.dumps(envelope), encoding="utf-8")
+    verified, real = [], witness_mod.verify_certificates
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(witness_mod, "verify_certificates",
+                   lambda *args: verified.append(args) or real(*args))
+        code, _, err = run_captured(["verify", str(path)])
+    assert len(verified) == 1 and code in (0, 1), err
+    col, norm, certs = verified[0]
+    _, base_certs = witness_from_json(base["result"])
+    assert verdict_on_fresh_and_used(norm, col, certs,
+                                     [(norm, base_certs)]) is (code == 0)

@@ -1,8 +1,8 @@
 """One golden corpus: digests of outputs that must not change by accident.
 
-Three sections are hashed, each entry to its own digest, so that a
-failure names the target list, the value batch or the CLI call whose
-output changed:
+Four sections are hashed, each entry to its own digest, so that a
+failure names the target list, the value batch, the enumeration or
+the CLI call whose output changed:
 
 - the witness corpus: for every one- and two-target list over TARGETS,
   the witness file object and its verdict, or the refusal text, for
@@ -10,6 +10,8 @@ output changed:
   below the list's value;
 - seeded values built with the kernel's operators, each rendered in
   the ascii and unicode styles and as repr;
+- enumerate_ordinals_below for the audit workload's three bounds and
+  criterion 3's, each term in the ascii style, in enumeration order;
 - in-process cli.run calls, each as stdout, stderr and exit code.
 
 A change that alters an output on purpose updates the digests it must
@@ -116,6 +118,22 @@ def value_digests() -> dict:
         rows = [[format_ordinal(x, "ascii"), format_ordinal(x, "unicode"),
                  repr(x)] for x in seeded_values(seed, 60)]
         out[f"seed {seed}"] = digest(rows)
+    return out
+
+
+# -- enumerations -----------------------------------------------------------------
+
+
+ENUMERATIONS = [("w*2", 2, 10), ("w*2", 2, 5), ("w*2+1", 2, 4), ("w^2", 2, 10)]
+
+
+def enumeration_digests() -> dict:
+    out = {}
+    for top, coeff, monos in ENUMERATIONS:
+        terms = enumerate_ordinals_below(
+            EnumerationBounds(parse_ordinal(top), coeff, monos))
+        out[f"{top},{coeff},{monos}"] = digest(
+            [format_ordinal(t, "ascii") for t in terms])
     return out
 
 
@@ -326,6 +344,10 @@ GOLDEN = {
     "values: seed 1": "5fe8bac7ee955a8b",
     "values: seed 2": "d834d4324bf13756",
     "values: seed 3": "50527f8f1158b3db",
+    "enumeration: w*2,2,10": "480d9f41f4f7a280",
+    "enumeration: w*2,2,5": "b068332e95153e76",
+    "enumeration: w*2+1,2,4": "ce2bf9df0feb801b",
+    "enumeration: w^2,2,10": "48b6f7f470649f7a",
     "cli: ptop w+1:3": "e882789fe6f61af8",
     "cli: ptop w+1:3 --json": "c5e3f2bb05e74711",
     "cli: ptop w+1:3 --unicode": "b9bbbdc249d2a9d7",
@@ -451,6 +473,10 @@ def test_witness_corpus_is_pinned():
 
 def test_seeded_values_are_pinned():
     check(value_digests(), "values")
+
+
+def test_enumerations_are_pinned():
+    check(enumeration_digests(), "enumeration")
 
 
 def test_cli_calls_are_pinned(monkeypatch, capsys, tmp_path):

@@ -21,7 +21,7 @@ from ordpigeon.oracle import (
     finite_arrow_check,
     mr_sum_bruteforce_check,
 )
-from ordpigeon.selftest import _random_mr_bound
+from ordpigeon.selftest import _link_grid, _random_mr_bound
 from ordpigeon.witness import NatsumSplitter
 from ordpigeon.ordinal import (
     Cardinal,
@@ -203,7 +203,21 @@ def test_bruteforce_mr_agrees_with_closed_formula():
      "brute-force search is for countable bounds only"),
     (lambda: cross_check_p_top([Instance.of((2, Cardinal.aleph(0)))]),
      ValueError, "cross-check grids use finite colour counts"),
-], ids=["zero-bound", "uncountable-bound", "infinite-count"])
+    (lambda: finite_arrow_check(2.5, [2]), TypeError,
+     "beta and all targets must be ints"),
+    (lambda: finite_arrow_check(2.5, [2, 2]), TypeError,
+     "beta and all targets must be ints"),
+    (lambda: finite_arrow_check(True, [True]), TypeError,
+     "beta and all targets must be ints"),
+    (lambda: finite_arrow_check(3, [2, 2.0]), TypeError,
+     "beta and all targets must be ints"),
+    (lambda: EnumerationBounds(w, True, 1), TypeError,
+     "coefficient and monomial bounds must be ints"),
+    (lambda: EnumerationBounds(w, 2, 2.0), TypeError,
+     "coefficient and monomial bounds must be ints"),
+], ids=["zero-bound", "uncountable-bound", "infinite-count",
+        "float-beta-one-colour", "float-beta", "bool-sizes", "float-target",
+        "bool-coefficient-bound", "float-monomial-bound"])
 def test_documented_raises_are_pinned(call, error, message):
     with pytest.raises(error) as info:
         call()
@@ -362,6 +376,52 @@ def test_cross_check_reports_mismatch(monkeypatch):
     assert entry["instance"] is inst
     assert entry["actual"] == wp(3)
     assert entry["expected"] == add(wp(2), 1)
+
+
+def counted_scans(monkeypatch) -> list:
+    """The bound lists of every bruteforce_mr_sum scan from now on."""
+    scans, scan = [], oracle_mod.bruteforce_mr_sum
+
+    def counting(bounds):
+        scans.append(list(bounds))
+        return scan(bounds)
+
+    monkeypatch.setattr(oracle_mod, "bruteforce_mr_sum", counting)
+    return scans
+
+
+def test_link_grid_makes_fifty_scans(monkeypatch):
+    # criterion 6's grid is four blocks of 25 pairs.  Successor powers
+    # (w^a+1, w^b+1) and simple multiples (m or w^a*m+1) hold no power
+    # w^a, so they scan nothing.  Powers (w^a, w^b) and mixed pairs
+    # (w^a, w^d+1) scan their exponents once each: 25 + 25 = 50.  Asking
+    # the powers family and then the mixed family, which on a list of
+    # powers alone is the same scan of the same bounds, made 75
+    scans = counted_scans(monkeypatch)
+    assert cross_check_p_top(_link_grid()) == []
+    assert len(scans) == 50
+
+
+def test_all_powers_mismatch_is_reported_once(monkeypatch):
+    # only the powers formula applies to (w^2, w): one scan, one entry
+    inst = Instance.of((wp(2), 1), (w, 1))
+    right = p_top(inst).value
+    scans = counted_scans(monkeypatch)
+    monkeypatch.setattr(oracle_mod, "p_top", lambda _: Exists(wp(5)))
+    report = cross_check_p_top([inst])
+    assert [(e["expected"], e["actual"]) for e in report] == [(right, wp(5))]
+    assert scans == [[from_int(2), ONE]]
+
+
+def test_mixed_instance_still_scans(monkeypatch):
+    # w+1 enters the mixed family as the exponent 1 + 1, and the value is
+    # w^3 from that one scan
+    inst = Instance.of((wp(2), 1), (add(w, 1), 1))
+    scans = counted_scans(monkeypatch)
+    assert cross_check_p_top([inst]) == []
+    assert scans == [[from_int(2), from_int(2)]]
+    monkeypatch.setattr(oracle_mod, "p_top", lambda _: Exists(wp(5)))
+    assert len(cross_check_p_top([inst])) == 1
 
 
 def test_cross_check_rejects_uncountable():
