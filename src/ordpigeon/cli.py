@@ -188,7 +188,8 @@ def _cmd_witness(ns) -> Handler:
 def _cmd_verify(ns) -> Handler:
     import json
     from .engine import normalize
-    from .witness import verify_certificates, witness_from_json
+    # the checker alone: verify loads no builder, search or dataclasses
+    from .checker import verify_certificates, witness_from_json
     with open(ns.file, "r", encoding="utf-8") as fh:
         envelope = json.load(fh)
     try:

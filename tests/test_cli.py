@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ordpigeon.checker as checker_mod
 import ordpigeon.selftest as selftest_mod
 import ordpigeon.witness as witness_mod
 from ordpigeon.cli import _parse_instance, run
@@ -403,10 +404,11 @@ def test_import_leaves_selftest_unloaded():
         dict.fromkeys(unused, False)
     assert loaded_after("import ordpigeon.cli", "ordpigeon.engine") == \
         {"ordpigeon.engine": False}
-    # the witness file codec lives in the witness layer, below the CLI
+    # the witness layer and its checker sit below the CLI
     above = ("ordpigeon.cli", "ordpigeon.selftest", "ordpigeon.oracle")
-    assert loaded_after("import ordpigeon.witness", *above) == \
-        dict.fromkeys(above, False)
+    for layer in ("ordpigeon.witness", "ordpigeon.checker"):
+        assert loaded_after(f"import {layer}", *above) == \
+            dict.fromkeys(above, False)
     # the package root loads a submodule only when one of its names is used
     submodules = ("ordpigeon.ordinal", "ordpigeon.engine", "ordpigeon.parser",
                   "ordpigeon.witness")
@@ -446,15 +448,38 @@ def test_analysing_calls_load_the_engine_not_the_witness_layer(argv):
         "ordpigeon.selftest": False, "ordpigeon.oracle": False}
 
 
-def test_witness_calls_load_the_witness_layer_not_the_grids(tmp_path):
+def witness_file(tmp_path):
     code, out, _ = run_captured(["witness", "w^3", "w+1:3", "--json"])
     assert code == 0
     path = tmp_path / "w.json"
     path.write_text(out, encoding="utf-8")
-    for argv in (["witness", "w^3", "w+1:3"], ["verify", str(path)]):
+    return str(path)
+
+
+def test_witness_calls_load_the_witness_layer_not_the_grids(tmp_path):
+    # verify loads the checker alone, not the witness layer that builds
+    path = witness_file(tmp_path)
+    for argv, builds in ((["witness", "w^3", "w+1:3"], True),
+                         (["verify", path], False)):
         assert loaded_by_call(argv, *LAYERS) == {
-            "ordpigeon.engine": True, "ordpigeon.witness": True,
+            "ordpigeon.engine": True, "ordpigeon.witness": builds,
             "ordpigeon.selftest": False, "ordpigeon.oracle": False}
+
+
+CHECKING = ("ordpigeon.checker", "ordpigeon.witness", "dataclasses", "inspect")
+
+
+def test_verify_loads_neither_the_builder_nor_dataclasses(tmp_path):
+    # witness loads both layers, and dataclasses for the witness types;
+    # verify accepts the file with the checker alone
+    path = witness_file(tmp_path)
+    for argv, builds in ((["witness", "w^3", "w+1:3"], True),
+                         (["verify", path], False)):
+        assert loaded_after(
+            "import io; from ordpigeon import cli; sys.stdout = io.StringIO(); "
+            f"assert cli.run({argv!r}) == 0; sys.stdout = sys.__stdout__",
+            *CHECKING) == {"ordpigeon.checker": True,
+                           **dict.fromkeys(CHECKING[1:], builds)}
 
 
 def test_closed_stdout_keeps_the_exit_code():
@@ -958,9 +983,9 @@ def test_fuzzed_witness_files_end_in_a_documented_exit(
     envelope = json.loads(json.dumps(base))
     path = tmp_path_factory.getbasetemp() / "fuzzed-witness.json"
     path.write_text(mutated(data, envelope), encoding="utf-8")
-    verified, real = [], witness_mod.verify_certificates
+    verified, real = [], checker_mod.verify_certificates
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(witness_mod, "verify_certificates",
+        mp.setattr(checker_mod, "verify_certificates",
                    lambda *args: verified.append(args) or real(*args))
         code, _, err = run_captured(["verify", str(path)])
     assert_documented_exit(code, err)
@@ -1022,9 +1047,9 @@ def test_revalued_witness_files_reach_the_verifier(
         parent[where[-1]] = data.draw(values)
     path = tmp_path_factory.getbasetemp() / "revalued-witness.json"
     path.write_text(json.dumps(envelope), encoding="utf-8")
-    verified, real = [], witness_mod.verify_certificates
+    verified, real = [], checker_mod.verify_certificates
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(witness_mod, "verify_certificates",
+        mp.setattr(checker_mod, "verify_certificates",
                    lambda *args: verified.append(args) or real(*args))
         code, _, err = run_captured(["verify", str(path)])
     assert len(verified) == 1 and code in (0, 1), err

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import ordpigeon
-from ordpigeon import engine, oracle, ordinal, parser, witness
+from ordpigeon import checker, engine, oracle, ordinal, parser, witness
 from ordpigeon.engine import (
     Analysis,
     CasePath,
@@ -276,7 +276,7 @@ ORACLE_FORBIDDEN = frozenset("""mr_sum mr_sum_counted natural_sum p_ord
     analyze""".split())
 
 
-def formula_names(source):
+def formula_names(source, forbidden=ORACLE_FORBIDDEN):
     """The forbidden names a source refers to, sorted: as a name, an
     attribute, an import or a string that is exactly the name, as
     getattr takes it.  Prose that mentions a name refers to nothing."""
@@ -290,12 +290,29 @@ def formula_names(source):
             found.update(node.name.split("."))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             found.add(node.value)
-    return sorted(found & ORACLE_FORBIDDEN)
+    return sorted(found & forbidden)
 
 
 def test_the_oracles_use_no_engine_formula():
     assert formula_names(Path(oracle.__file__).read_text(
         encoding="utf-8")) == []
+
+
+# the builder, the natural-sum search and the case tree, which a verdict
+# must not rest on, and the dataclasses only the builder's callers need
+CHECKER_FORBIDDEN = frozenset("""build_counterexample natsum_split
+    natsum_expressible NatsumSplitter classify analyze case6_decompose
+    minimal_omega_power_bound dataclass dataclasses""".split())
+
+
+def test_the_checker_runs_no_builder_search_or_case_tree():
+    def names(module):
+        return formula_names(Path(module.__file__).read_text(
+            encoding="utf-8"), CHECKER_FORBIDDEN)
+    assert names(checker) == []
+    # the builder's module, which the guard must catch
+    assert {"classify", "minimal_omega_power_bound", "natsum_split"} <= set(
+        names(witness))
 
 
 def test_the_formula_guard_finds_each_way_of_naming():

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordpigeon import cli, engine, witness
+from ordpigeon import checker, cli, engine, witness
 from ordpigeon.engine import (
     Exists,
     Instance,
@@ -654,6 +654,23 @@ def forged_duplicate_colour():
     return norm, col, [certs[0], certs[1], certs[0]]
 
 
+def forged_equal_coefficients():
+    # w+1 holds w: the class suffix w+1 and the target residual w have the
+    # same coefficient, so the shapes do not distinguish them (b > a)
+    return (norm_of((w, 1)), rank_colouring(add(w, 1), (((ZERO, ONE),),), (0,)),
+            [ObstructionCertificate(0, DNE, w, level=ZERO,
+                                    class_residual=add(w, 1),
+                                    target_residual=w)])
+
+
+def forged_small_at_its_bound():
+    # 5 -> (3, 3) holds: a class of exactly three points at rank 0 is as
+    # large as the target's residual 3, not smaller
+    return (norm_of((3, 2)), rank_colouring(5, ((), ()), (0, 0, 1, 1), 0),
+            [ObstructionCertificate(0, DS, 3, level=ZERO, bound=3),
+             ObstructionCertificate(1, DS, 3, level=ZERO, bound=2)])
+
+
 FORGERIES = {
     "derivative-residual": forged_residual,
     "distinguishing-shapes": forged_shapes,
@@ -663,6 +680,8 @@ FORGERIES = {
     "dne-ends-below-g": forged_early_final_interval,
     "finite-domain-without-zero": forged_uncoloured_zero,
     "duplicate-colour": forged_duplicate_colour,
+    "dne-equal-coefficients": forged_equal_coefficients,
+    "derivative-small-at-its-bound": forged_small_at_its_bound,
 }
 
 
@@ -748,14 +767,14 @@ def test_the_colouring_pass_runs_once_per_colouring(monkeypatch):
     seen = {"_colouring_facts": [], "_tiling": []}  # kept, so no id recurs
 
     def counted(name):
-        real = getattr(witness, name)
+        real = getattr(checker, name)
 
         def count(col_or_classes, *args):
             seen[name].append(col_or_classes)
             return real(col_or_classes, *args)
         return count
     for name in seen:
-        monkeypatch.setattr(witness, name, counted(name))
+        monkeypatch.setattr(checker, name, counted(name))
     result = criterion_7()
     assert result.ok, result.line()
     assert {name: (len(objs), len(set(map(id, objs))))
@@ -1188,7 +1207,7 @@ def test_built_witnesses_verify_and_every_tamper_is_caught(entries, data):
 def test_every_certificate_kind_has_a_row_and_sets_its_fields():
     # criterion 7's grid, the cofinality witness and the golden corpus set
     # exactly the optional fields of their kind's row, and use every row
-    assert set(witness._ROWS) == set(CertKind)
+    assert set(checker._ROWS) == set(CertKind)
     builds = [build_counterexample(_maximal_failing(p_top(inst).value),
                                    normalize(inst)) for inst in _witness_grid()]
     builds.append(built(mul(w1, 2), (add(w1, 1), 1), (add(w, 1), 1))[1:])
@@ -1197,7 +1216,7 @@ def test_every_certificate_kind_has_a_row_and_sets_its_fields():
     kinds = Counter()
     for _, certs in builds:
         for cert in certs:
-            assert witness._ROWS[cert.kind] == (
+            assert checker._ROWS[cert.kind] == (
                 cert.level is not None, cert.bound is not None,
                 cert.class_residual is not None,
                 cert.target_residual is not None), cert
