@@ -98,7 +98,9 @@ class ObstructionCertificate(Record, optional=4):
 
 
 # One row per kind: whether it sets level, bound, class_residual and
-# target_residual; its comment says why its fact rules out the target
+# target_residual; its comment says why its fact rules out the target.
+# None asks for countability: in every ordinal a point's rank is the last
+# exponent of its normal form, and embeddings map derivatives into derivatives
 _ROWS = {
     # the class is a pure rank preimage of order type level, so its level-th
     # derivative is empty, while the target still has points at that level
@@ -108,7 +110,8 @@ _ROWS = {
     CertKind.DERIVATIVE_SMALL: (True, True, False, False),
     # the class's ranks below its final interval have order type level,
     # and from that interval up it is a compact w^rho*a + 1, too small
-    # for the target's level-th residual w^rho*b with b > a
+    # for the target's level-th residual w^rho*b with b > a (a copy needs
+    # b - 1 of its a points of rank rho, and one more by compactness)
     CertKind.DERIVATIVE_NOT_EMBEDDABLE: (True, False, True, True),
     # the two classes split by cofinality: points of uncountable
     # cofinality contain no w+1, the rest contain nothing above w_1

@@ -11,7 +11,7 @@ classify walks the case tree once per normalized instance, whose leaf
 computes its value.  A count is a number throughout: in the
 finite-colour leaves a target of count c enters each formula once,
 scaled by c, so no leaf lists the targets copy by copy.  normalize and
-the C6 leaves each take what they need in one pass over the entries.
+the rank pass each take what they need in one pass over the entries.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .ordinal import (
     _coerce_card,
     _merge,
     add,
-    biembed_canonical,
     cb_rank,
     cofinality,
     compare,
@@ -195,13 +194,13 @@ Split = Tuple[Ordinal, int, bool]
 class Analysis(Record, optional=2):
     """One pass through the case tree and the value its leaf computes.
 
-    In the C6c leaves decompositions holds one case6_decompose split per
-    entry of the normalized instance, in entry order, and distinguished
-    the index of the entry whose exact multiple dominates in C6cI; the
-    witness builder reads these per-entry facts here and gives them to
-    each of the entry's colours.  Elsewhere they are None.  normalized
-    is None for the degenerate leaves Zero and AllOnes.  The C6 leaves
-    gather these facts in one pass over the entries.
+    In the C6c leaves, and the C2c leaves whose rank pass ends in C6c,
+    decompositions holds each entry's split (g, m, exact), as
+    case6_decompose gives it for a countable target, in entry order, and
+    distinguished the index of the entry whose exact multiple dominates
+    (C6cI); the witness builder reads these per-entry facts here and
+    gives them to each of the entry's colours.  Elsewhere they are None.
+    normalized is None for the degenerate leaves Zero and AllOnes.
     """
 
     __slots__ = ("case", "trail", "result", "normalized", "decompositions",
@@ -236,7 +235,7 @@ def classify(norm: NormalizedInstance) -> Analysis:
 
 
 def _case_tree(norm: NormalizedInstance, trail: List[str]) -> tuple:
-    # (case, result, decompositions, distinguished); the last two in C6c
+    # (case, result, decompositions, distinguished): see Analysis
     kappa = norm.kappa
     # countable targets are below w_1, so they settle both w_1 tests
     countable, big = True, None
@@ -291,16 +290,10 @@ def _case_tree(norm: NormalizedInstance, trail: List[str]) -> tuple:
         if is_power_of_omega(big) or kappa == Cardinal.finite(1):
             trail.append("the large target is a power of w, or it is the "
                          "only target")
-            return CasePath.C2cI, Exists(biembed_canonical(big)), None, None
+            return (CasePath.C2cI, *_rank_pass(norm, [])[1:])
         trail.append("the large target is not a power of w and there are "
                      "other targets")
-        # w^g*m + 1 <= big <= w^g*(m+1), and m >= 1 as big is not w^g
-        g, m, _ = _split(big.monomials)
-        others = sum((int(t) - 1) * c.size for t, c in norm.entries
-                     if t != big)
-        # the value as a normal form: g > 0 because big exceeds w_1
-        value = _build(((g, others + m), (ZERO, 1)))
-        return CasePath.C2cII, Exists(value), None, None
+        return (CasePath.C2cII, *_rank_pass(norm, [])[1:])
 
     trail.append("no target exceeds w_1")
     at_w1 = 0 if countable else _copies(norm, OMEGA1)
@@ -317,8 +310,17 @@ def _case_tree(norm: NormalizedInstance, trail: List[str]) -> tuple:
         trail.append("infinitely many colours")
         return CasePath.C5, Exists(kappa.successor().as_ordinal()), None, None
     trail.append("finitely many colours")
-    # one pass: each target is split once and its count scales its terms.
-    # It merges gamma, the natural sum of the g, counts the copies with
+    return _rank_pass(norm, trail)
+
+
+def _rank_pass(norm: NormalizedInstance, trail: List[str]) -> tuple:
+    """The finite-colour rank count: (leaf, result, decompositions,
+    distinguished), leaf C6a, C6b, C6cI or C6cII, its lines appended to
+    trail.  Countability plays no part, so it gives the C2c values too,
+    big above w_1 among finite t, split (g, m, exact): big for a power of
+    w or alone and exact, else w^g*(m + sum of (t-1)*c) + 1."""
+    # each target is split once and its count scales its terms; the pass
+    # merges gamma, the natural sum of the g, counts the copies with
     # m > 1 and keeps the least rank of the g with its first exact entry,
     # or an exact entry with m > 1, the only one that could dominate
     decs, rows, total, heavy, least, first = [], [], 1, 0, None, None
@@ -346,8 +348,7 @@ def _case_tree(norm: NormalizedInstance, trail: List[str]) -> tuple:
     trail.append("no target is a power of w and some target is infinite")
     # it dominates when every copy but its own one has m = 1
     s = first if heavy == (first is not None and decs[first][1] > 1) else None
-    # the values as normal forms: gamma is countable, so it is its own
-    # exponent form, and gamma >= 1 because some target is infinite
+    # the values as normal forms; gamma >= 1 because some target is infinite
     gamma = _build(tuple(rows))
     if s is not None:
         trail.append("an exact multiple of a power of w has minimal rank "

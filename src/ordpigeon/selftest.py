@@ -17,7 +17,6 @@ import time
 from typing import Callable, List, Optional
 
 from .engine import (
-    CasePath,
     Exists,
     Independent,
     Infinite,
@@ -481,11 +480,9 @@ def _verdict_le(lo, hi) -> bool:
     return isinstance(hi, Independent) and lo.zfc_lower <= hi.zfc_lower
 
 
-def _c6_shape_ok(value: Ordinal) -> bool:
-    ms = value.monomials
-    if len(ms) == 1:
-        return True
-    return len(ms) == 2 and ms[1] == (ZERO, 1)
+def _rank_shape_ok(value: Ordinal) -> bool:
+    ms = value.monomials    # a C2b, C2c, C4 or C6 value: w^g*m (+ 1)
+    return len(ms) == 1 or len(ms) == 2 and ms[1] == (ZERO, 1)
 
 
 def _algebra_suite(iterations: int) -> str:
@@ -602,10 +599,9 @@ def _case_tree_suite(iterations: int) -> str:
                "raising a target does not lower p_top",
                inst=inst, base=base, raised=raised)
 
-        if analysis.case in (CasePath.C6a, CasePath.C6b,
-                             CasePath.C6cI, CasePath.C6cII):
-            _check(isinstance(base, Exists) and _c6_shape_ok(base.value),
-                   "a C6 value is w^g*m or w^g*m+1", inst=inst, base=base)
+        if analysis.case.value.startswith(("C2b", "C2c", "C4", "C6")):
+            _check(isinstance(base, Exists) and _rank_shape_ok(base.value),
+                   "the value is w^g*m or w^g*m+1", inst=inst, base=base)
 
         if isinstance(base, Exists):
             _check(relation_holds(base.value, inst) is RelationVerdict.HOLDS,

@@ -32,6 +32,7 @@ from .checker import (  # noqa: F401  (the types, codec and verifier re-exported
 )
 from .engine import (
     CasePath,
+    Exists,
     NormalizedInstance,
     classify,
     minimal_omega_power_bound,
@@ -289,8 +290,6 @@ def eval_colouring(col: RankColouring, x) -> int:
 # -- construction -----------------------------------------------------------------
 
 
-_RANK_CASES = (CasePath.C6a, CasePath.C6b, CasePath.C6cI, CasePath.C6cII)
-
 # The most colours build_counterexample colours for.  A witness lists a
 # target, rank classes and a certificate per colour, so its size grows
 # with the colour count; counts are expanded to colours only up to this
@@ -305,15 +304,15 @@ MAX_POINTS = 100_000
 
 def build_counterexample(beta, norm: NormalizedInstance):
     """A colouring of [0, beta) defeating every target, with one
-    certificate per colour.  Supported for the countable finite-colour
-    cases within MAX_COLOURS colours and MAX_POINTS (beta's leading
+    certificate per colour.  Supported for the finite-colour cases with
+    a value within MAX_COLOURS colours and MAX_POINTS (beta's leading
     coefficient), and for the two-target provably-no-value case.  A
     degenerate instance's Exists in place of a norm raises TypeError."""
     beta = _coerce(beta)
     facts = classify(norm)
     if facts.case is CasePath.C1:
         return _build_cofinality(beta, norm)
-    if facts.case not in _RANK_CASES:
+    if type(facts.result) is not Exists or not norm.kappa.is_finite():
         raise OutOfScope(f"no finite certificate language for case "
                          f"{facts.case.value}")
     if beta >= facts.result.value:
@@ -380,12 +379,12 @@ def _build_infinite(beta, facts, flat):
     top_count = m if not tail.is_zero() else m - 1
 
     # bound i is the least x with target i at most w^x; g is below their
-    # Milner-Rado sum (C6b) or at most the natural sum of the targets'
-    # leading exponents, each bound less one (C6c), so it splits
+    # Milner-Rado sum (C6b shape) or at most the natural sum of the targets'
+    # leading exponents, each bound less one (C6c shape), so it splits
     levels = natsum_expressible(g, [minimal_omega_power_bound(t) for t in flat])
     assert levels is not None, "g splits below the bounds"
-    # the most top points each colour's certificate holds: in C6b (no
-    # decompositions) only the powers of w take any, and the first takes all
+    # the most top points each colour's certificate holds: with no
+    # decompositions only the powers of w take any, and the first takes all
     decs = facts.decompositions and _by_colour(norm, facts.decompositions)
     caps = ([None if lvl < b else mi - 1
              for (b, mi, _), lvl in zip(decs, levels)] if decs else
@@ -403,7 +402,7 @@ def _build_infinite(beta, facts, flat):
     # Too many maximal-rank points for the small certificates: this is the
     # distinguished exact-multiple situation, where the class holding all
     # of them is defeated by residual counting instead.
-    assert facts.case is CasePath.C6cI and not tail.is_zero()
+    assert facts.distinguished is not None and not tail.is_zero()
     # the distinguished entry's first colour
     s = sum(c.size for _, c in norm.entries[:facts.distinguished])
     parts = [b for b, _, _ in decs]

@@ -305,6 +305,33 @@ def test_witness_refusals_are_pinned(args, err):
     assert run_captured(["witness", *args]) == (2, "", f"error: {err}\n")
 
 
+@pytest.mark.parametrize("args", [
+    ["w_1+w", "w_2", "w"],                  # C2bI
+    ["w_1*3+2", "w_1+1", "w"],              # C2bII
+    ["w_1+1", "w_1*2"],                     # C2cI, of C6cI's shape
+    ["w_1*2", "w_1+1", "2"],                # C2cII
+    ["w^w+1", "w_1", "w"],                  # C4 with two colours
+])
+def test_witness_files_of_targets_above_w1_verify(tmp_path, args):
+    code, out, err = run_captured(["witness", *args, "--json"])
+    assert (code, err) == (0, "")
+    path = tmp_path / "wit.json"
+    path.write_text(out)
+    assert run_captured(["verify", str(path)]) == (0, "witness verified\n", "")
+
+
+@pytest.mark.parametrize("args,case", [
+    (["w_1", "w_1+1", "2:aleph_0"], "C2aI"),
+    (["w_2", "w_1", "w_1"], "C3"),
+    (["w", "w_1", "2:aleph_0"], "C4"),
+    (["w", "w:aleph_0"], "C5"),
+])
+def test_witnesses_with_infinitely_many_colours_or_no_value_refuse(args,
+                                                                   case):
+    assert run_captured(["witness", *args]) == (
+        2, "", f"error: no finite certificate language for case {case}\n")
+
+
 def test_witness_that_fails_its_own_check_is_an_error(monkeypatch, capsys):
     # the check is a plain test, so it holds under python -O too
     monkeypatch.setattr(witness_mod, "verify_certificates",
@@ -330,9 +357,10 @@ def test_huge_counts_outside_c6_answer_at_once(capsys):
     assert lines_of(capsys)[:2] == ["w_1*10000000001+1", "case C2cII"]
     assert run(["case", "w_1:2", "3:10000000000"]) == 0
     assert "case C3" in lines_of(capsys)
+    # C2cII builds witnesses, so its build stops at the colour bound
     assert run(["witness", "w+5", "w_1+1", "2:10000000000"]) == 2
     assert capsys.readouterr().err == \
-        "error: no finite certificate language for case C2cII\n"
+        "error: witnesses are built for at most 256 colours, not 10000000001\n"
 
 
 def test_huge_counts_in_c6_answer_at_once(capsys):

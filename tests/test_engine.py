@@ -35,10 +35,12 @@ from ordpigeon.ordinal import (
     ZERO,
     ZeroInput,
     add,
+    biembed_canonical,
     cb_rank,
     format_cnf,
     from_int,
     initial_ordinal,
+    is_power_of_omega,
     leading_decomposition,
     mr_sum_counted,
     mul,
@@ -499,17 +501,22 @@ def test_sums_and_c6_leaves_hash_no_ordinal(monkeypatch):
     assert hashed and hashed[0] is fresh
 
 
+def _c2cii_value(norm):
+    # the C2cII closed form: big = w^g*m + rest among finite targets t
+    # gives w^g*(others + m) + 1, m one less when big is w^g*m exactly
+    big = max(t for t, _ in norm.entries)
+    g, m, rest = leading_decomposition(big)
+    if rest.is_zero():
+        m -= 1
+    others = sum((int(t) - 1) * c.size for t, c in norm.entries if t != big)
+    return add(mul(omega_pow(g), from_int(others + m)), ONE)
+
+
 def _generic_value(analysis):
     # the C6c and C2cII values through generic arithmetic: w^g*n (+ 1)
     norm = analysis.normalized
     if analysis.case is CasePath.C2cII:
-        big = max(t for t, _ in norm.entries)
-        g, m, rest = leading_decomposition(big)
-        if rest.is_zero():
-            m -= 1
-        others = sum((int(t) - 1) * c.size for t, c in norm.entries
-                     if t != big)
-        return add(mul(omega_pow(g), from_int(others + m)), ONE)
+        return _c2cii_value(norm)
     decs = analysis.decompositions
     counts = [c.size for _, c in norm.entries]
     gamma = natural_sum(*(g for (g, _, _), c in zip(decs, counts)
@@ -558,6 +565,82 @@ def test_normal_form_values_match_the_generic_arithmetic(entries):
     text = format_cnf(top)
     again = parse_ordinal(text)
     assert again == top and format_cnf(again) == text
+
+
+# the C2b, C2c and finite-colour C4 leaves: the trail each must keep, and
+# its value by the closed form the case tree used before the rank pass
+# computed C2c, from the instance's largest target
+ABOVE_W1 = ("some target exceeds w_1", "every other target is at most w",
+            "finitely many colours")
+RANK_LEAVES = {
+    CasePath.C2bI: (ABOVE_W1 + ("some other target equals w",
+                                "the large target is a power of w"),
+                    lambda norm, big: big),
+    CasePath.C2bII: (ABOVE_W1 + ("some other target equals w",
+                                 "the large target is not a power of w"),
+                     lambda norm, big: mul(big, w)),
+    CasePath.C2cI: (ABOVE_W1 + ("every other target is finite",
+                                "the large target is a power of w, or it "
+                                "is the only target"),
+                    lambda norm, big: biembed_canonical(big)),
+    CasePath.C2cII: (ABOVE_W1 + ("every other target is finite",
+                                 "the large target is not a power of w and "
+                                 "there are other targets"),
+                     lambda norm, big: _c2cii_value(norm)),
+    CasePath.C4: (("no target exceeds w_1",
+                   "exactly one copy of w_1 among the targets"),
+                  lambda norm, big: w1),
+}
+BIG_TARGETS = (w1 + 1, w1 * 2, w1 * 2 + 5, w1 * 3 + w, w2, w2 + 1,
+               wp(w1 + 1), wp(w1 + 1) * 2 + w, wp(w1 * 2) * 3,
+               initial_ordinal(w + 1) + wp(w1) * 2 + 7)
+rank_leaf_entries = st.tuples(
+    st.sampled_from((w1,) + BIG_TARGETS),
+    st.lists(st.tuples(st.sampled_from([from_int(2), from_int(3),
+                                        from_int(5), w]),
+                       st.integers(1, 3)), max_size=3),
+).map(lambda p: ((p[0], 1), *p[1]))
+
+
+def _rank_leaf(big, entries):
+    # the leaf by the case tree's tests, asked of the entries directly
+    if big == w1:
+        return CasePath.C4
+    has_w = any(t == w for t, _ in entries)
+    power = is_power_of_omega(big)
+    if has_w:
+        return CasePath.C2bI if power else CasePath.C2bII
+    alone = len(entries) == 1
+    return CasePath.C2cI if power or alone else CasePath.C2cII
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_leaf_entries)
+@example(((w1 + 1, 1), (2, 1)))
+@example(((w1 * 2, 1),))
+@example(((w2, 1), (3, 2)))
+@example(((w1, 1), (w, 3)))
+def test_rank_pass_leaves_keep_their_case_trail_and_closed_form(entries):
+    analysis = analyze(Instance.of(*entries))
+    big = entries[0][0]
+    leaf = _rank_leaf(big, entries)
+    trail, closed_form = RANK_LEAVES[leaf]
+    assert (analysis.case, analysis.trail) == (leaf, trail)
+    assert analysis.result == Exists(closed_form(analysis.normalized, big))
+    # a C2c leaf whose big is no power of w keeps the rank pass's C6c
+    # facts: each entry's split, and the index of a dominating exact
+    # multiple, which only big alone can be
+    decs = analysis.decompositions
+    c6c = (leaf in (CasePath.C2cI, CasePath.C2cII)
+           and not is_power_of_omega(big))
+    assert (decs is not None) is c6c
+    if c6c:
+        assert decs == tuple(engine._split(t.monomials)
+                             for t, _ in analysis.normalized.entries)
+        exact_alone = len(entries) == 1 and decs[0][2]
+        assert (analysis.distinguished == 0) is exact_alone
+    else:
+        assert analysis.distinguished is None
 
 
 def _distinguished_by_the_rule(norm, decs):

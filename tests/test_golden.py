@@ -4,10 +4,11 @@ Four sections are hashed, each entry to its own digest, so that a
 failure names the target list, the value batch, the enumeration or
 the CLI call whose output changed:
 
-- the witness corpus: for every one- and two-target list over TARGETS,
-  the witness file object and its verdict, or the refusal text, for
-  each beta of enumerate_ordinals_below(EnumerationBounds(3, 3, 3))
-  below the list's value;
+- the witness corpus: for every one- and two-target list over TARGETS
+  and each of RANK_LISTS, the witness file object and its verdict, or
+  the refusal text, for each beta of
+  enumerate_ordinals_below(EnumerationBounds(3, 3, 3)) below the list's
+  value;
 - seeded values built with the kernel's operators, each rendered in
   the ascii and unicode styles and as repr;
 - enumerate_ordinals_below for the audit workload's three bounds and
@@ -50,10 +51,14 @@ from ordpigeon.witness import (
 
 TARGETS = ("2", "3", "w", "w+1", "w+2", "w*2", "w*2+1", "w*3", "w*3+1",
            "w^2", "w^2+1", "w^2*2", "w^2+w", "w^3", "w^2*2+1")
+# a list per leaf whose value the rank pass gives with a target at or
+# above w_1: C2cII, C2bI, C2bII, C2cI and finite-colour C4
+RANK_LISTS = [("w_1+1", "2"), ("w_2", "w"), ("w_1+1", "w"), ("w_1*2+5",),
+              ("w_1", "w")]
 LISTS = [(t,) for t in TARGETS] + list(
-    itertools.combinations_with_replacement(TARGETS, 2))
+    itertools.combinations_with_replacement(TARGETS, 2)) + RANK_LISTS
 
-# the whole witness corpus, 9,664 witnesses and 241 refusals, takes about
+# the whole witness corpus, 10,539 witnesses and 241 refusals, takes about
 # 1 s on a 2-core Xeon; the budget is set once, not to be raised
 CORPUS_BUDGET_S = 5.0
 
@@ -341,6 +346,11 @@ GOLDEN = {
     "corpus: w^3,w^3": "1d889847b8caaa03",
     "corpus: w^3,w^2*2+1": "255bf5b1f496a453",
     "corpus: w^2*2+1,w^2*2+1": "f9ebf07dfa80dfee",
+    "corpus: w_1+1,2": "3b4d5b244a7105cf",
+    "corpus: w_2,w": "6dee05c0cf1a7dd8",
+    "corpus: w_1+1,w": "6dbc7ecd99f0b3fd",
+    "corpus: w_1*2+5": "0853b30d4dddbd6c",
+    "corpus: w_1,w": "f0710724757576d6",
     "values: seed 1": "5fe8bac7ee955a8b",
     "values: seed 2": "d834d4324bf13756",
     "values: seed 3": "50527f8f1158b3db",

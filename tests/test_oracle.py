@@ -313,6 +313,34 @@ def test_mr_check_asks_the_old_samples_once_each(monkeypatch):
         assert len(asked) - len(probes) <= 25 * (len(pool) - 1)
 
 
+@pytest.mark.parametrize("bounds", [
+    [add(wp(2), 1), add(w, 1)],
+    [mul(wp(3), 2), add(w, 3)],
+    [add(wp(w), 1), add(wp(2), 2), add(w, 1)],
+])
+def test_mr_check_asks_every_draw_with_no_finite_tail(monkeypatch, bounds):
+    # with draws enough to meet every triple, each w^a*b + c below the
+    # candidate is asked, a a non-zero exponent of the pool: the draws
+    # w^a*b with no finite tail too, at least four of them no finite or
+    # step-down probe, so a check that skipped them would show
+    asked, splits = [], NatsumSplitter.splits
+
+    def recording(self, delta):
+        asked.append(delta)
+        return splits(self, delta)
+
+    monkeypatch.setattr(NatsumSplitter, "splits", recording)
+    candidate = mr_sum(bounds)
+    assert mr_sum_bruteforce_check(bounds, candidate, 5000)
+    pool = {e for x in [candidate, *bounds] for e, _ in x.monomials} - {ZERO}
+    draws = {add(mul(wp(a), from_int(b)), from_int(c)) for a in pool
+             for b in range(1, 6) for c in range(5)}
+    below = {x for x in draws if x < candidate}
+    tailless = {x for x in below if x.monomials[-1][0] != ZERO}
+    assert len(tailless - set(oracle_mod._step_down(candidate))) >= 4
+    assert below <= set(asked)
+
+
 # -- closed-formula cross-checks -----------------------------------------------
 
 

@@ -24,6 +24,7 @@ from ordpigeon.engine import (
 )
 from ordpigeon.ordinal import (
     Atom,
+    Cardinal,
     OMEGA,
     OMEGA1,
     ONE,
@@ -32,7 +33,9 @@ from ordpigeon.ordinal import (
     ZeroInput,
     add,
     cb_rank,
+    format_cnf,
     from_int,
+    initial_ordinal,
     mr_sum,
     mul,
     omega_pow,
@@ -459,9 +462,21 @@ def test_build_rejects_satisfied_relation():
         build_counterexample(add(wp(2), 1), norm_of((add(w, 1), 2)))
 
 
-def test_build_rejects_uncountable_cases():
-    with pytest.raises(OutOfScope):
-        build_counterexample(w1, norm_of((w1, 1), (2, 1)))
+def test_build_rejects_infinitely_many_colours_but_builds_finite_c4():
+    # C4 with aleph_0 colours has no finite certificate language; with
+    # two colours its value is w_1, which satisfies the relation, and a
+    # countable beta below it builds
+    for beta in (w, w1):
+        with pytest.raises(OutOfScope,
+                           match="no finite certificate language for case C4"):
+            build_counterexample(beta,
+                                 norm_of((w1, 1), (2, Cardinal.aleph(0))))
+    norm = norm_of((w1, 1), (2, 1))
+    assert classify(norm).case is engine.CasePath.C4
+    with pytest.raises(NotBelowThreshold):
+        build_counterexample(w1, norm)
+    col, certs = build_counterexample(add(wp(w), 1), norm)
+    assert verify_certificates(col, norm, certs)
 
 
 def test_build_cofinality_needs_two_targets():
@@ -826,6 +841,67 @@ def test_a_witness_files_texts_are_parsed_once():
     assert witness_from_json(doc) == (col, tuple(certs))
     info = parse_expression.cache_info()
     assert (info.misses, info.hits) == (203, 801 - 203)
+
+
+# -- the C2b, C2c and finite-colour C4 leaves ------------------------------------
+
+
+w2 = initial_ordinal(2)
+# one to three instances per leaf whose value has the rank pass's shape
+RANK_LEAF_GRID = {
+    "C2bI": [((w2, 1), (w, 1)), ((wp(add(w1, 1)), 1), (w, 1), (3, 1))],
+    "C2bII": [((add(w1, 1), 1), (w, 1)),
+              ((add(mul(w1, 2), 5), 1), (w, 2), (3, 1))],
+    "C2cI": [((add(mul(w1, 2), 5), 1),), ((mul(w1, 2), 1),),
+             ((w2, 1), (3, 2))],
+    "C2cII": [((add(w1, 1), 1), (2, 1)), ((mul(w1, 2), 1), (3, 1), (2, 2)),
+              ((add(mul(wp(add(w1, 1)), 2), w), 1), (5, 1))],
+    "C4": [((w1, 1), (w, 1)), ((w1, 1), (add(w, 1), 1), (3, 1)),
+           ((w1, 1), (mul(wp(2), 2), 2))],
+}
+# the betas tried below each value: countable ones, and uncountable ones
+# whose rank spaces reach w_1
+RANK_LEAF_BETAS = [
+    ZERO, from_int(5), add(w, 1), add(mul(wp(2), 3), 1), wp(w),
+    add(mul(wp(add(w, 1)), 2), 3), wp(wp(2)),
+    w1, add(w1, 1), add(w1, 5), add(w1, w), add(mul(w1, 2), 1),
+    wp(add(w1, 1)), add(mul(wp(add(w1, 1)), 2), 1), w2,
+]
+# the known gap of the residual-counting certificate: below the value
+# w_1*2, of C6cI's shape, it refuses a domain tail beyond +1 after w_1
+RANK_LEAF_REFUSALS = {("C2cI", "w_1*2", "w_1+5"), ("C2cI", "w_1*2", "w_1+w")}
+
+
+@pytest.mark.parametrize("leaf", RANK_LEAF_GRID)
+def test_rank_pass_leaves_build_verifiable_untamperable_witnesses(leaf):
+    built_count, refused = 0, set()
+    for entries in RANK_LEAF_GRID[leaf]:
+        analysis = analyze(Instance.of(*entries))
+        assert analysis.case.value == leaf
+        norm, value = analysis.normalized, analysis.result.value
+        below = [beta for beta in RANK_LEAF_BETAS if beta < value]
+        assert len(below) >= 6
+        for beta in below:
+            try:
+                col, certs = build_counterexample(beta, norm)
+            except OutOfScope as exc:
+                assert str(exc) == ("domain tail too large for the "
+                                    "residual-counting certificate")
+                refused.add((leaf, format_cnf(entries[0][0]),
+                             format_cnf(beta)))
+                continue
+            certs = tuple(certs)
+            assert verify_certificates(col, norm, certs), (entries, beta)
+            doc = json.loads(json.dumps(witness_to_json(col, certs)))
+            again = witness_from_json(doc)
+            assert again == (col, certs)
+            assert verify_certificates(again[0], norm, again[1])
+            assert _tamper_all(col, norm, certs) is None, (entries, beta)
+            built_count += 1
+        with pytest.raises(NotBelowThreshold):
+            build_counterexample(value, norm)
+    assert built_count
+    assert refused == {r for r in RANK_LEAF_REFUSALS if r[0] == leaf}
 
 
 # -- the threshold is sharp ------------------------------------------------------
